@@ -271,9 +271,16 @@ type report = {
   regressions : finding list;
   improvements : finding list;  (* moved past tolerance the good way *)
   missing : string list;  (* gated in baseline, absent from fresh *)
+  skipped : string list;  (* gated, but baseline below min_magnitude *)
 }
 
 let default_tolerance = 0.10
+
+(* Overhead fractions are gated against this absolute target rather than
+   relative to their baseline: a committed 0.0 baseline would otherwise
+   fall under [min_magnitude] and never be gated at all. *)
+let overhead_target = 0.03
+let is_overhead metric = contains ~sub:"overhead_fraction" (leaf_of metric)
 
 (* Skip metrics whose baseline magnitude is below this: per-layer
    microsecond timings jitter by whole multiples run to run and would
@@ -286,11 +293,21 @@ let compare_metrics ?(tolerance = default_tolerance)
   List.iter (fun (k, v) -> Hashtbl.replace fresh_tbl k v) fresh;
   let checked = ref 0 in
   let regressions = ref [] and improvements = ref [] and missing = ref [] in
+  let skipped = ref [] in
   List.iter
     (fun (metric, b) ->
       match direction_of metric with
       | Ungated -> ()
-      | _ when Float.abs b < min_magnitude -> ()
+      | _ when is_overhead metric -> (
+          match Hashtbl.find_opt fresh_tbl metric with
+          | None -> missing := metric :: !missing
+          | Some f ->
+              incr checked;
+              if f > overhead_target then
+                regressions :=
+                  { metric; baseline = b; fresh = f; change = f -. b }
+                  :: !regressions)
+      | _ when Float.abs b < min_magnitude -> skipped := metric :: !skipped
       | dir -> (
           match Hashtbl.find_opt fresh_tbl metric with
           | None -> missing := metric :: !missing
@@ -318,6 +335,7 @@ let compare_metrics ?(tolerance = default_tolerance)
     regressions = List.rev !regressions;
     improvements = List.rev !improvements;
     missing = List.rev !missing;
+    skipped = List.rev !skipped;
   }
 
 let compare_files ?tolerance ?min_magnitude ~baseline ~fresh () =
@@ -347,6 +365,11 @@ let render ~label r =
   List.iter
     (fun f -> Buffer.add_string b ("  improvement " ^ render_finding f ^ "\n"))
     r.improvements;
+  List.iter
+    (fun m ->
+      Buffer.add_string b
+        (Printf.sprintf "  skipped     %s (baseline below min_magnitude)\n" m))
+    r.skipped;
   Buffer.contents b
 
 (* Synthetic degradation for the gate's own smoke test: push every

@@ -6,9 +6,12 @@
     derived from the leaf field name: [*seconds*] and
     [*overhead_fraction*] must not grow; [*speedup*], [*images_per_sec*],
     [*hit_rate*] and [*per_s*] must not shrink; every other field
-    (counts, flags, notes) is context and is not gated.  Baselines with
-    magnitude under [min_magnitude] are skipped — sub-centisecond
-    per-layer timings jitter by whole multiples between runs.
+    (counts, flags, notes) is context and is not gated.
+    [*overhead_fraction*] leaves are gated against the absolute
+    {!overhead_target} whatever their baseline; any other gated baseline
+    with magnitude under [min_magnitude] is skipped — sub-centisecond
+    per-layer timings jitter by whole multiples between runs — and
+    {!render} names each skipped metric.
 
     Used by [bench regress] and the [tools/regress] CLI, both of which
     exit nonzero when {!passed} is false. *)
@@ -58,7 +61,10 @@ type finding = {
   metric : string;
   baseline : float;
   fresh : float;
-  change : float;  (** signed fractional change; positive = grew *)
+  change : float;
+      (** signed fractional change; positive = grew.  For
+          [*overhead_fraction*] leaves (already fractions) the absolute
+          difference [fresh - baseline]. *)
 }
 
 type report = {
@@ -67,12 +73,19 @@ type report = {
   improvements : finding list;
       (** moved past tolerance in the good direction (informational) *)
   missing : string list;  (** gated in the baseline, absent fresh *)
+  skipped : string list;
+      (** gated, but not compared: baseline magnitude under
+          [min_magnitude] *)
 }
 
 val default_tolerance : float
 (** 0.10 — tolerates 10% run-to-run noise while catching a 20% slide. *)
 
 val default_min_magnitude : float
+
+val overhead_target : float
+(** 0.03 — a fresh [*overhead_fraction*] above this is a regression,
+    whatever the baseline. *)
 
 val compare_metrics :
   ?tolerance:float ->

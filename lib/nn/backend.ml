@@ -1,13 +1,16 @@
-(* Plan compiler: translate a trained [Network.t] once into a flat list
-   of backend kernel steps — weights converted to backend storage up
-   front via [B.of_tensor], conv→norm→relu collapsed into the fused
-   conv epilogue where the backend allows ([B.fuse]) and the layer graph
-   has the adjacency — then run the plan on whole batches without
-   touching the [Layer] representation again.
+(* Plan compiler: translate a layer stack once into a flat list of
+   backend kernel steps — weights converted to backend storage up front
+   via [B.of_tensor], conv→norm→relu collapsed into the fused conv
+   epilogue where the backend allows ([B.fuse]) and the layer graph has
+   the adjacency — then run the plan on whole batches without touching
+   the [Layer] representation again.  This is the only inference engine:
+   [Network.logits]/[scores]/[classify] and every network oracle run
+   through it.
 
-   [Make (Tensor_boxed)] reproduces [Network.scores_batch] bit-for-bit
-   (same kernels, same order); [Make (Tensor_f32)] is the float32
-   Bigarray engine, equal under the tolerance policy ([score_tol]). *)
+   [Make (Tensor_boxed)] is bit-identical to the training forward
+   ([Layer.forward ~train:false] + [Tensor.softmax]) on every image;
+   [Make (Tensor_f32)] is the float32 Bigarray engine, equal under the
+   tolerance policy ([score_tol]). *)
 
 let score_tol = 1e-4
 
@@ -111,10 +114,10 @@ module Make (B : Tensor_sig.S) = struct
     | Dense_block convs -> Dense_block (List.map fuse_list convs)
     | s -> s
 
-  let compile (net : Network.t) =
-    let steps = steps_of_layer net.Network.stack in
+  let compile ~name stack =
+    let steps = steps_of_layer stack in
     let steps = if B.fuse then fuse_list steps else steps in
-    { net_name = net.Network.name; steps }
+    { net_name = name; steps }
 
   let rec run ?pool steps x =
     List.fold_left (fun acc s -> run_step ?pool s acc) x steps
@@ -122,8 +125,32 @@ module Make (B : Tensor_sig.S) = struct
   and run_step ?pool s x =
     match s with
     | Conv { stride; pad; weight; bias; norm; relu } ->
-        B.conv2d_batch ?pool ~stride ~pad ~weight ~bias ?norm ~relu x
-    | Dense { weight; bias } -> B.dense_batch ~weight ~bias x
+        (* Per-layer timing: one span per batched conv, the breakdown
+           the trace viewer and traceprof group the hot path by.  The
+           disabled path is one branch; args are built lazily. *)
+        Telemetry.Trace.span "conv2d_gemm_batch" ~cat:"tensor"
+          ~args:(fun () ->
+            let s = B.shape weight in
+            [
+              ("n", Telemetry.Trace.Int (B.shape x).(0));
+              ("in_c", Telemetry.Trace.Int s.(1));
+              ("out_c", Telemetry.Trace.Int s.(0));
+              ("k", Telemetry.Trace.Int s.(2));
+              ("stride", Telemetry.Trace.Int stride);
+              ("pad", Telemetry.Trace.Int pad);
+            ])
+          (fun () ->
+            B.conv2d_batch ?pool ~stride ~pad ~weight ~bias ?norm ~relu x)
+    | Dense { weight; bias } ->
+        Telemetry.Trace.span "dense_batch" ~cat:"tensor"
+          ~args:(fun () ->
+            let s = B.shape weight in
+            [
+              ("n", Telemetry.Trace.Int (B.shape x).(0));
+              ("in_dim", Telemetry.Trace.Int s.(1));
+              ("out_dim", Telemetry.Trace.Int s.(0));
+            ])
+          (fun () -> B.dense_batch ~weight ~bias x)
     | Relu -> B.relu x
     | Max_pool { size; stride } -> B.max_pool2d_batch ~stride ~size x
     | Avg_pool { size; stride } -> B.avg_pool2d_batch ~stride ~size x
@@ -153,6 +180,7 @@ module Make (B : Tensor_sig.S) = struct
         [
           ("backend", Telemetry.Trace.Str B.name);
           ("net", Telemetry.Trace.Str plan.net_name);
+          ("n", Telemetry.Trace.Int (B.shape x).(0));
         ])
       (fun () -> run ?pool plan.steps x)
 

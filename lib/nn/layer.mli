@@ -58,17 +58,12 @@ val dense_block : Prng.t -> in_c:int -> growth:int -> layers:int -> unit -> t
 (** {1 Execution} *)
 
 val forward : ?train:bool -> t -> Tensor.t -> Tensor.t
-(** [forward ~train layer x].  With [~train:true] (default [false]) the
+(** [forward ~train layer x]: the single-image training forward over the
+    direct convolution loops.  With [~train:true] (default [false]) the
     layer caches what [backward] needs; with [~train:false] the caches
-    are neither read nor written. *)
-
-val forward_batch : t -> Tensor.t -> Tensor.t
-(** Inference over a batch: NCHW in (then [|n; features|] from the first
-    {!flatten} on), one GEMM per convolution via
-    {!Tensor.conv2d_gemm_batch} with the im2col scratch matrix shared
-    across the batch.  Image [i] of the result is bit-equal to the
-    corresponding single-image GEMM forward regardless of the batch
-    width, and the training caches are never touched. *)
+    are neither read nor written.  Inference runs through compiled
+    {!Backend} plans instead; [forward ~train:false] is the reference
+    the boxed plan is tested bit-equal against. *)
 
 val clear_caches : t -> unit
 (** Drop all cached forward-pass intermediates (recursively).  Training
@@ -106,8 +101,8 @@ type view =
 
 val view : t -> view
 (** Parameter tensors in the view are the layer's live [Param.t] values
-    (not copies): compile plans after training, or recompile when the
-    parameters change. *)
+    (not copies), which training updates in place; see
+    {!Backend.Make.compile} for what that means for a compiled plan. *)
 
 val backward : t -> Tensor.t -> Tensor.t
 (** [backward layer dout] must follow a [forward ~train:true] on the same

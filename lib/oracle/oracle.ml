@@ -60,17 +60,18 @@ let of_fn ?budget ?batch_fn ?(name = "fn") ~num_classes fn =
   }
 
 let of_network ?budget ?(backend = Nn.Backend.Boxed) ?pool net =
-  (* Backend selection: [Boxed] keeps the layer engine's own batched
-     path (the reference — nothing new between the oracle and the
-     network); [F32] compiles the network once into a float32 Bigarray
-     plan and scores every batch through it.  Query accounting is
-     backend-independent by construction — the meter sits above this
-     function. *)
+  (* The network is compiled once into a plan on the selected backend
+     and every query, single or batched, runs through it.  Query
+     accounting is backend-independent by construction — the meter sits
+     above this function. *)
+  let name = net.Nn.Network.name and stack = net.Nn.Network.stack in
   let scores_nchw =
     match backend with
-    | Nn.Backend.Boxed -> fun batch -> Nn.Network.scores_batch net batch
+    | Nn.Backend.Boxed ->
+        let plan = Nn.Backend.Boxed_engine.compile ~name stack in
+        fun batch -> Nn.Backend.Boxed_engine.scores_batch plan batch
     | Nn.Backend.F32 ->
-        let plan = Nn.Backend.F32_engine.compile net in
+        let plan = Nn.Backend.F32_engine.compile ~name stack in
         fun batch -> Nn.Backend.F32_engine.scores_batch ?pool plan batch
   in
   let fn_batch xs =
@@ -95,15 +96,10 @@ let of_network ?budget ?(backend = Nn.Backend.Boxed) ?pool net =
               Tensor.get_flat out ((i * classes) + j)))
     end
   in
-  let fn =
-    match backend with
-    | Nn.Backend.Boxed -> Nn.Network.scores net
-    | Nn.Backend.F32 -> fun x -> (fn_batch [| x |]).(0)
-  in
   {
-    fn;
+    fn = (fun x -> (fn_batch [| x |]).(0));
     fn_batch = Some fn_batch;
-    oracle_name = net.Nn.Network.name;
+    oracle_name = name;
     classes = net.Nn.Network.num_classes;
     backend_kind = Nn.Backend.kind_name backend;
     count = 0;
@@ -149,18 +145,6 @@ let scores t x =
   meter t;
   validated t (t.fn x)
 
-(* The metering-above-cache invariant lives here: the query is charged
-   (and Budget_exhausted raised) before the cache is consulted, so hits
-   and misses are indistinguishable to the query accounting.  The
-   journal's hit flag comes from an uncounted membership probe, gated
-   on the sink being open — it never touches the hit/miss statistics
-   the cache reports. *)
-let scores_memo t cache ~key ~input =
-  let hit = Telemetry.Journal.enabled () && Score_cache.mem cache key in
-  meter ~kind:(Score_cache.key_kind key) ~ckey:key ~hit t;
-  Score_cache.find_or_add cache key ~compute:(fun () ->
-      validated t (t.fn (input ())))
-
 (* Unmetered batched forward pass: the speculative half of the batched
    query path.  Falls back to mapping [fn] when the scoring function has
    no batched form (toy oracles), which keeps the accounting semantics
@@ -173,58 +157,6 @@ let eval_batch t xs =
       match t.fn_batch with
       | Some fb -> Array.map (validated t) (fb xs)
       | None -> Array.map (fun x -> validated t (t.fn x)) xs)
-
-let scores_batch t ?cache ~keys ~inputs ~consume () =
-  let n = Array.length inputs in
-  if Array.length keys <> n then
-    invalid_arg "Oracle.scores_batch: keys and inputs must have equal length";
-  (* Speculative phase: resolve every slot's score vector without
-     touching the query counter.  Cache hits leave the batch before the
-     forward pass; misses are evaluated in one batched call and stored. *)
-  let resolved = Array.make n None in
-  let hits = Array.make n false in
-  (match cache with
-  | None -> ()
-  | Some c ->
-      Array.iteri
-        (fun i key ->
-          match key with
-          | None -> ()
-          | Some k ->
-              resolved.(i) <- Score_cache.find_counted c k;
-              hits.(i) <- resolved.(i) <> None)
-        keys);
-  let missing = ref [] in
-  for i = n - 1 downto 0 do
-    if resolved.(i) = None then missing := i :: !missing
-  done;
-  let missing = Array.of_list !missing in
-  if Array.length missing > 0 then begin
-    let outs = eval_batch t (Array.map (fun i -> inputs.(i) ()) missing) in
-    Array.iteri
-      (fun j i ->
-        resolved.(i) <- Some outs.(j);
-        match (cache, keys.(i)) with
-        | Some c, Some k -> Score_cache.add c k outs.(j)
-        | _ -> ())
-      missing
-  end;
-  (* Accounting phase: charge slots strictly in submission order.  A
-     budget exhausted at slot [j] raises after slots [0, j) were consumed
-     and charged — the same query index as the sequential path; results
-     for the remaining slots are discarded (speculation cost wall-clock,
-     never queries). *)
-  let consumed = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !consumed < n do
-    let i = !consumed in
-    meter
-      ?kind:(Option.map Score_cache.key_kind keys.(i))
-      ?ckey:keys.(i) ~hit:hits.(i) ~chunk:i t;
-    consumed := i + 1;
-    continue_ := consume i (Option.get resolved.(i))
-  done;
-  !consumed
 
 let classify t x = Tensor.argmax (scores t x)
 let score_of t x c = Tensor.get_flat (scores t x) c

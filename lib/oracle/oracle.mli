@@ -12,9 +12,11 @@
     {b Caching.}  An oracle may carry an attached {!Score_cache.t}
     ({!set_cache}) memoizing the score vectors of one base image's
     perturbations.  The cache sits strictly {e under} the metering layer:
-    {!scores_memo} charges the counter and enforces the budget {e before}
-    the lookup, so query accounting is bit-identical with and without a
-    cache — caching trades forward passes, never queries. *)
+    {!Batcher.query} — the one path cached queries take — charges each
+    query through {!meter} no matter whether its answer came from the
+    cache, the speculative buffer or a fresh forward pass, so query
+    accounting is bit-identical with and without a cache — caching
+    trades forward passes, never queries. *)
 
 type t
 
@@ -34,15 +36,17 @@ val of_network :
   ?pool:Domain_pool.Pool.t ->
   Nn.Network.t ->
   t
-(** Network-backed oracle.  Batched queries ({!eval_batch},
-    {!scores_batch}, {!Batcher}) run through one im2col+GEMM forward
-    pass for the whole chunk.  [?backend] (default [Boxed]) selects the
-    tensor engine: [Boxed] is {!Nn.Network.scores_batch} itself, [F32]
-    compiles the network once into the float32 Bigarray plan
-    ({!Nn.Backend.F32_engine}) — identical argmax/success/query
-    behaviour within {!Nn.Backend.score_tol} per score.  [?pool] (f32
-    only) lets the GEMM dispatch row panels onto an idle domain pool;
-    query accounting is independent of both knobs. *)
+(** Network-backed oracle.  The network is compiled once into a
+    {!Nn.Backend} plan and every query runs through it: batched queries
+    ({!eval_batch}, {!Batcher}) as one forward pass for the whole chunk,
+    single-image ones as a batch of one.  [?backend] (default [Boxed])
+    selects the tensor engine: [Boxed] is the float64 reference plan
+    ({!Nn.Backend.Boxed_engine}, the engine behind {!Nn.Network.scores}),
+    [F32] the float32 Bigarray plan ({!Nn.Backend.F32_engine}) —
+    identical argmax/success/query behaviour within
+    {!Nn.Backend.score_tol} per score.  [?pool] (f32 only) lets the GEMM
+    dispatch row panels onto an idle domain pool; query accounting is
+    independent of both knobs. *)
 
 val of_fn :
   ?budget:int ->
@@ -108,48 +112,12 @@ val meter :
     journaled run charges the same queries at the same indices as a
     bare one (the [journal] bench asserts this). *)
 
-val scores_memo :
-  t ->
-  Score_cache.t ->
-  key:Score_cache.key ->
-  input:(unit -> Tensor.t) ->
-  Tensor.t
-(** One metered query answered through a cache.  Meters exactly like
-    {!scores} — same counter increment, same {!Budget_exhausted} at the
-    same query index — then returns the cached score vector for [key],
-    calling [input] to construct the query tensor only on a miss.  The
-    caller owns the key discipline: [key] must uniquely identify the
-    perturbed input within the cache's base image (see
-    {!Score_cache.key}).  The returned tensor is shared with the cache;
-    treat it as immutable. *)
-
 val eval_batch : t -> Tensor.t array -> Tensor.t array
 (** Unmetered batched forward pass — the {e speculative} half of the
     batched query path.  Deliberately not a query: callers
-    ({!scores_batch}, {!Batcher}) must meter each slot at consumption
+    ({!Batcher}) must meter each slot at consumption
     time, in submission order, so speculation can never perturb query
     accounting.  Never call it from attack code directly. *)
-
-val scores_batch :
-  t ->
-  ?cache:Score_cache.t ->
-  keys:Score_cache.key option array ->
-  inputs:(unit -> Tensor.t) array ->
-  consume:(int -> Tensor.t -> bool) ->
-  unit ->
-  int
-(** One speculative chunk of queries with sequential accounting.
-
-    First every slot's score vector is resolved without touching the
-    query counter: slots whose [key] is resident in [cache] leave the
-    batch (a counted hit), the rest are evaluated in one {!eval_batch}
-    call and stored under their keys ([None] keys bypass the cache).
-    Then slots are walked strictly in submission order: each is charged
-    one query — raising {!Budget_exhausted} at exactly the query index
-    the sequential path would — and handed to [consume], which returns
-    [false] to stop (e.g. on attack success).  Returns the number of
-    slots consumed; results past the stopping slot are discarded, so
-    only [stop + 1] queries are ever charged. *)
 
 val queries : t -> int
 (** Queries posed since creation or the last {!reset}. *)

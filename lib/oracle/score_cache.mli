@@ -11,13 +11,15 @@
     pass per distinct perturbation instead of one per query.
 
     {b The metering-above-cache invariant.}  The cache sits {e under} the
-    metering layer, never above it: {!Oracle.scores_memo} charges the
-    query counter (and raises [Budget_exhausted]) {e before} the lookup,
-    on hits and misses alike.  Query counts, success flags, budget
-    exhaustion points and synthesizer traces are therefore bit-identical
-    whether a cache is used or not — the cache buys wall-clock, never
-    queries.  A differential suite ([test/test_cache_eval.ml] and
-    [test/diff_runner.ml --cache on|off]) enforces this.
+    metering layer, never above it: {!Batcher.query} resolves an answer
+    from the cache or a forward pass without touching the query counter,
+    then charges the query (and raises [Budget_exhausted]) through
+    {!Oracle.meter}, on hits and misses alike.  Query counts, success
+    flags, budget exhaustion points and synthesizer traces are therefore
+    bit-identical whether a cache is used or not — the cache buys
+    wall-clock, never queries.  A differential suite
+    ([test/test_cache_eval.ml] and [test/diff_runner.ml --cache on|off])
+    enforces this.
 
     {b Ownership rules.}
     - One cache belongs to one [(oracle function, base image)] pair.

@@ -28,7 +28,8 @@
 
    Backend axis: --backend boxed|f32 runs the tensor-backend
    differential instead — raw scores under the tolerance policy (boxed
-   plan bit-identical to the layer engine; f32 within
+   plan bit-identical to the training forward on every zoo
+   architecture; f32 within
    [Nn.Backend.score_tol] per logit with argmax identity) and attack
    records through the full Runner stack against the boxed sequential
    reference, at this invocation's --domains/--cache/--batch
@@ -59,7 +60,6 @@
    the width-1 ground truth.  Exits non-zero (with a backtrace, courtesy
    of OCAMLRUNPARAM=b) on the first divergence. *)
 
-module Parallel = Evalharness.Parallel
 module Runner = Evalharness.Runner
 module Attackers = Evalharness.Attackers
 module Score = Oppsla.Score
@@ -245,8 +245,9 @@ let decision_islands_check ~pool ~batch =
 (* Backend differential: the pluggable tensor backend must be invisible
    to query accounting and, on raw scores, obey the tolerance policy —
    the boxed engine's compiled plan is asserted bit-identical to the
-   layer-walking engine, while the f32 engine must agree on every
-   argmax and keep each logit within [Nn.Backend.score_tol].  The
+   training forward on this cell's network and every zoo architecture,
+   while the f32 engine must agree on every argmax and keep each logit
+   within [Nn.Backend.score_tol].  The
    attack-record arm then runs the same Sparse-RS corpus through a
    Runner on the checked backend at this cell's (domains, cache, batch)
    coordinates against the boxed batch-1 sequential reference:
@@ -277,59 +278,71 @@ let backend_check ~domains ~cache ~batch ~backend =
         let x = Tensor.rand_uniform (Prng.split g) [| 3; size; size |] in
         (x, Nn.Network.classify net x))
   in
-  let classes = 4 in
-  let pack1 x =
-    let xb = Tensor.zeros [| 1; 3; size; size |] in
-    Array.blit x.Tensor.data 0 xb.Tensor.data 0 (Tensor.numel x);
-    xb
-  in
-  let engine_scores =
-    match backend with
-    | Nn.Backend.Boxed ->
-        let plan = Nn.Backend.Boxed_engine.compile net in
-        fun x -> Nn.Backend.Boxed_engine.scores_batch plan (pack1 x)
-    | Nn.Backend.F32 ->
-        let plan = Nn.Backend.F32_engine.compile net in
-        fun x -> Nn.Backend.F32_engine.scores_batch plan (pack1 x)
-  in
+  (* Raw-score arm.  The reference is the training forward
+     ([Layer.forward ~train:false] + [Tensor.softmax], direct
+     convolution loops) — the one forward pass that is not a compiled
+     plan.  The boxed plan must match it bitwise on this cell's network
+     and on every zoo architecture; the f32 plan is held to the
+     tolerance policy. *)
   let bname = Nn.Backend.kind_name backend in
-  let argmax t off =
-    let best = ref 0 in
-    for c = 1 to classes - 1 do
-      if Tensor.get_flat t (off + c) > Tensor.get_flat t (off + !best) then
-        best := c
-    done;
-    !best
-  in
-  Array.iteri
-    (fun i (x, _) ->
-      let sb = Nn.Network.scores net x in
-      let se = engine_scores x in
-      (match backend with
+  let check_scores (net : Nn.Network.t) xs =
+    let name = net.Nn.Network.name and stack = net.Nn.Network.stack in
+    let classes = net.Nn.Network.num_classes in
+    let batch1 x = Tensor.reshape x (Array.append [| 1 |] (Tensor.shape x)) in
+    let engine_scores =
+      match backend with
       | Nn.Backend.Boxed ->
-          (* Same-backend: the compiled plan is the same float64 kernels
-             in the same order — bit-equality, not tolerance. *)
-          for c = 0 to classes - 1 do
-            if Tensor.get_flat se c <> Tensor.get_flat sb c then
-              fail
-                "backend %s: image %d class %d: plan score %.17g <> layer \
-                 score %.17g (must be bit-identical)"
-                bname i c (Tensor.get_flat se c) (Tensor.get_flat sb c)
-          done
+          let plan = Nn.Backend.Boxed_engine.compile ~name stack in
+          fun x -> Nn.Backend.Boxed_engine.scores_batch plan (batch1 x)
       | Nn.Backend.F32 ->
-          for c = 0 to classes - 1 do
-            let d =
-              abs_float (Tensor.get_flat se c -. Tensor.get_flat sb c)
-            in
-            if d > Nn.Backend.score_tol then
-              fail
-                "backend %s: image %d class %d: |score delta| %.3e exceeds \
-                 tolerance %.0e"
-                bname i c d Nn.Backend.score_tol
-          done);
-      if argmax se 0 <> argmax sb 0 then
-        fail "backend %s: image %d: argmax diverged" bname i)
-    samples;
+          let plan = Nn.Backend.F32_engine.compile ~name stack in
+          fun x -> Nn.Backend.F32_engine.scores_batch plan (batch1 x)
+    in
+    Array.iteri
+      (fun i x ->
+        let sb = Tensor.softmax (Nn.Layer.forward ~train:false stack x) in
+        let se = engine_scores x in
+        (match backend with
+        | Nn.Backend.Boxed ->
+            (* Same float64 kernels in the same per-element order:
+               bit-equality, not tolerance. *)
+            for c = 0 to classes - 1 do
+              if Tensor.get_flat se c <> Tensor.get_flat sb c then
+                fail
+                  "backend %s: %s image %d class %d: plan score %.17g <> \
+                   training-forward score %.17g (must be bit-identical)"
+                  bname name i c (Tensor.get_flat se c) (Tensor.get_flat sb c)
+            done
+        | Nn.Backend.F32 ->
+            for c = 0 to classes - 1 do
+              let d =
+                abs_float (Tensor.get_flat se c -. Tensor.get_flat sb c)
+              in
+              if d > Nn.Backend.score_tol then
+                fail
+                  "backend %s: %s image %d class %d: |score delta| %.3e \
+                   exceeds tolerance %.0e"
+                  bname name i c d Nn.Backend.score_tol
+            done);
+        if Tensor.argmax se <> Tensor.argmax sb then
+          fail "backend %s: %s image %d: argmax diverged" bname name i)
+      xs
+  in
+  check_scores net (Array.map fst samples);
+  (match backend with
+  | Nn.Backend.Boxed ->
+      List.iter
+        (fun arch ->
+          let zoo_net =
+            (Option.get (Nn.Zoo.by_name arch)) (Prng.of_int 516)
+              ~image_size:8 ~num_classes:4
+          in
+          let g = Prng.of_int 517 in
+          check_scores zoo_net
+            (Array.init 3 (fun _ ->
+                 Tensor.rand_uniform (Prng.split g) [| 3; 8; 8 |])))
+        Nn.Zoo.names
+  | Nn.Backend.F32 -> ());
   (* Attack-record arm. *)
   let attacker = Attackers.sparse_rs_space Space.Pixel in
   let max_queries = 60 in
@@ -830,7 +843,7 @@ let () =
     if cache then Some (Score_cache.store (Array.length samples)) else None
   in
   let gen_config = { Oppsla.Gen.d1 = size; d2 = size } in
-  Parallel.Pool.with_pool ~domains (fun pool ->
+  Domain_pool.Pool.with_pool ~domains (fun pool ->
       match !bknd with
       | Some backend ->
           (* Backend mode: one cross-backend cell at this invocation's

@@ -10,7 +10,8 @@
    fusion saves passes, never rounding.  The shape-descriptor
    round-trip and the serialize golden run over both backends: weights
    written by one network load into another and must produce the same
-   argmax through the layer engine, the boxed plan and the f32 plan. *)
+   argmax through Network.classify, the boxed plan and the f32 plan,
+   and the boxed plan must match the training forward bit for bit. *)
 
 (* Round to the nearest float32, as [of_tensor] does on the f32 path. *)
 let round32 x = Int32.float_of_bits (Int32.bits_of_float x)
@@ -218,8 +219,9 @@ let serialize_cross_backend () =
     (fun () ->
       Nn.Serialize.save path source;
       Nn.Serialize.load path target);
-  let boxed = Nn.Backend.Boxed_engine.compile target in
-  let f32 = Nn.Backend.F32_engine.compile target in
+  let name = target.Nn.Network.name and stack = target.Nn.Network.stack in
+  let boxed = Nn.Backend.Boxed_engine.compile ~name stack in
+  let f32 = Nn.Backend.F32_engine.compile ~name stack in
   let g = ref (Prng.of_int 515) in
   for i = 0 to 9 do
     g := Prng.split !g;
@@ -229,7 +231,7 @@ let serialize_cross_backend () =
     in
     let reference = Nn.Network.classify source x in
     Alcotest.(check int)
-      (Printf.sprintf "image %d: loaded layer engine = source argmax" i)
+      (Printf.sprintf "image %d: loaded network = source argmax" i)
       reference
       (Nn.Network.classify target x);
     let bscores = Nn.Backend.Boxed_engine.scores_batch boxed batch in
@@ -242,9 +244,9 @@ let serialize_cross_backend () =
       (Printf.sprintf "image %d: f32 plan argmax" i)
       reference
       (argmax_row fscores ~row:0 ~classes:4);
-    (* The boxed plan is bit-identical to the layer engine; the f32 plan
-       is held to the cross-backend tolerance policy. *)
-    let direct = Nn.Network.scores target x in
+    (* The boxed plan is bit-identical to the training forward; the f32
+       plan is held to the cross-backend tolerance policy. *)
+    let direct = Tensor.softmax (Nn.Layer.forward ~train:false stack x) in
     for c = 0 to 3 do
       Alcotest.(check (float 0.))
         (Printf.sprintf "image %d class %d: boxed scores bit-equal" i c)
@@ -257,8 +259,47 @@ let serialize_cross_backend () =
     done
   done
 
+(* {1 Boxed plan = training forward, on every zoo architecture} *)
+
+(* The compiled boxed plan is the only inference engine; the training
+   forward ([Layer.forward ~train:false], direct convolution loops) is
+   the independent reference it must match bit for bit — every row of a
+   multi-image batch, on every architecture family the zoo builds. *)
+let boxed_plan_matches_training_forward () =
+  let n = 3 and size = 8 in
+  List.iter
+    (fun arch ->
+      let build = Option.get (Nn.Zoo.by_name arch) in
+      let net = build (Prng.of_int 77) ~image_size:size ~num_classes:5 in
+      let plan =
+        Nn.Backend.Boxed_engine.compile ~name:arch net.Nn.Network.stack
+      in
+      let batch = Tensor.rand_uniform (Prng.of_int 78) [| n; 3; size; size |] in
+      let out = Nn.Backend.Boxed_engine.scores_batch plan batch in
+      let image = 3 * size * size in
+      for i = 0 to n - 1 do
+        let x =
+          Tensor.init [| 3; size; size |] (fun o ->
+              Tensor.get_flat batch ((i * image) + o))
+        in
+        let reference =
+          Tensor.softmax (Nn.Layer.forward ~train:false net.Nn.Network.stack x)
+        in
+        Alcotest.(check (array (float 0.)))
+          (Printf.sprintf "%s image %d: plan scores = training forward" arch i)
+          reference.Tensor.data
+          (Array.sub out.Tensor.data (i * 5) 5);
+        Alcotest.(check (array (float 0.)))
+          (Printf.sprintf "%s image %d: Network.scores = training forward" arch
+             i)
+          reference.Tensor.data (Nn.Network.scores net x).Tensor.data
+      done)
+    Nn.Zoo.names
+
 let suite =
   [
+    Alcotest.test_case "boxed plan = training forward on every zoo net" `Quick
+      boxed_plan_matches_training_forward;
     Alcotest.test_case "boxed descriptor round-trip" `Quick boxed_roundtrip;
     Alcotest.test_case "f32 descriptor round-trip" `Quick f32_roundtrip;
     Alcotest.test_case "serialize cross-backend golden" `Quick

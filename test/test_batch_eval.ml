@@ -2,9 +2,10 @@
 
    Two contracts are enforced here.  First, the im2col+GEMM engine is a
    pure reformulation: matmul agrees with the naive triple loop exactly,
-   conv2d_gemm / conv2d_gemm_batch agree with the direct conv2d
-   bit-for-bit, and Network.scores_batch row [i] equals the single-image
-   Network.scores of image [i] element-for-element.  Second, speculative
+   conv2d_gemm_batch agrees with the direct conv2d bit-for-bit at batch
+   widths 1 and n, and row [i] of a compiled boxed plan's scores_batch
+   equals the single-image Network.scores of image [i]
+   element-for-element.  Second, speculative
    candidate batching is invisible to accounting: forward passes are
    unmetered, queries are charged one at a time at consumption, and every
    attack observable — query counts, success flags, adversarial pairs,
@@ -142,9 +143,14 @@ let conv_gemm_agrees () =
               Tensor.get_flat batch ((img * image) + o))
         in
         let direct = Tensor.conv2d ~stride ~pad x ~weight ~bias in
-        let gemm = Tensor.conv2d_gemm ~stride ~pad x ~weight ~bias in
+        let gemm =
+          Tensor.conv2d_gemm_batch ~stride ~pad
+            (Tensor.reshape x [| 1; in_c; h; w |])
+            ~weight ~bias
+        in
         Alcotest.(check (array (float 0.)))
-          (name ^ ": gemm = direct") direct.Tensor.data gemm.Tensor.data;
+          (name ^ ": width-1 gemm = direct") direct.Tensor.data
+          gemm.Tensor.data;
         Alcotest.(check (array (float 0.)))
           (Printf.sprintf "%s: batched image %d = direct" name img)
           direct.Tensor.data
@@ -162,17 +168,21 @@ let conv_gemm_agrees () =
 (* {1 Network engine} *)
 
 (* Property test: on a real (randomly initialised) conv net, row [i] of
-   scores_batch is element-for-element equal to the single-image scores
-   of image [i], for every batch width tried. *)
+   the boxed plan's scores_batch is element-for-element equal to the
+   single-image scores of image [i], for every batch width tried. *)
 let qcheck_scores_batch_matches_single =
-  QCheck.Test.make ~name:"Network.scores_batch = per-image scores" ~count:25
+  QCheck.Test.make ~name:"Boxed_engine.scores_batch = per-image scores"
+    ~count:25
     QCheck.(pair (int_range 0 9999) (int_range 1 5))
     (fun (seed, n) ->
       let g = Prng.of_int seed in
       let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size:8 ~num_classes:4 in
       let image = 3 * 8 * 8 in
       let batch = Tensor.rand_uniform g [| n; 3; 8; 8 |] in
-      let out = Nn.Network.scores_batch net batch in
+      let plan =
+        Nn.Backend.Boxed_engine.compile ~name:"vgg_tiny" net.Nn.Network.stack
+      in
+      let out = Nn.Backend.Boxed_engine.scores_batch plan batch in
       let classes = Tensor.dim out 1 in
       let ok = ref (classes = 4) in
       for i = 0 to n - 1 do

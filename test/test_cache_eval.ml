@@ -6,11 +6,10 @@
    is bit-identical with the cache on and off.  These tests drive the
    sketch, all four baselines and a full synthesizer run (sequential and
    over a 4-domain pool) both ways and compare, plus property tests of
-   Oracle.scores_memo against a fresh uncached oracle call-for-call, the
-   clone-drops-cache rule, eviction accounting, and the aliasing
-   guards. *)
+   cached width-1 Batcher.query (the path every attack query takes)
+   against a fresh uncached oracle call-for-call, the clone-drops-cache
+   rule, eviction accounting, and the aliasing guards. *)
 
-module Parallel = Evalharness.Parallel
 module Score = Oppsla.Score
 module Sketch = Oppsla.Sketch
 module Synthesizer = Oppsla.Synthesizer
@@ -272,7 +271,7 @@ let synthesizer_differential () =
   check "cached sequential" (run ~caches:(caches ()) ());
   List.iter
     (fun domains ->
-      Parallel.Pool.with_pool ~domains (fun pool ->
+      Domain_pool.Pool.with_pool ~domains (fun pool ->
           check
             (Printf.sprintf "uncached pool-%d" domains)
             (run ~pool ());
@@ -281,12 +280,25 @@ let synthesizer_differential () =
             (run ~pool ~caches:(caches ()) ())))
     [ 1; 4 ]
 
-(* Property test: scores_memo vs a fresh uncached oracle, call for call,
-   over random pair sequences with repeats — same vectors, same counter,
-   same Budget_exhausted index. *)
+(* A width-1 batcher over [oracle] with [cache] attached: the
+   sequential query path attacks take, metering above the cache. *)
+let cached_batcher oracle cache =
+  Oracle.set_cache oracle (Some cache);
+  Batcher.create ~width:1 oracle
 
-let qcheck_memo_matches_uncached =
-  QCheck.Test.make ~name:"scores_memo = scores call-for-call" ~count:60
+let pair_candidate image pair =
+  {
+    Batcher.key = Sketch.cache_key pair;
+    input = (fun () -> Sketch.perturb image pair);
+  }
+
+(* Property test: cached width-1 Batcher.query vs a fresh uncached
+   oracle, call for call, over random pair sequences with repeats — same
+   vectors, same counter, same Budget_exhausted index. *)
+
+let qcheck_cached_batcher_matches_uncached =
+  QCheck.Test.make ~name:"cached Batcher.query = scores call-for-call"
+    ~count:60
     QCheck.(
       triple (int_range 0 9999)
         (small_list
@@ -303,18 +315,18 @@ let qcheck_memo_matches_uncached =
       let cached = Helpers.mean_threshold_oracle ?budget () in
       let uncached = Helpers.mean_threshold_oracle ?budget () in
       let cache = Score_cache.create () in
-      let ok = ref true in
+      let batcher = cached_batcher cached cache in
+      let ok = ref true and tripped = ref false in
       List.iter
         (fun (row, col, corner) ->
           let pair =
             Oppsla.Pair.make ~loc:(Oppsla.Location.make ~row ~col) ~corner
           in
           let on =
-            try
-              Ok
-                (Oracle.scores_memo cached cache ~key:(Sketch.cache_key pair)
-                   ~input:(fun () -> Sketch.perturb image pair))
-            with Oracle.Budget_exhausted b -> Error b
+            try Ok (Batcher.query batcher (pair_candidate image pair))
+            with Oracle.Budget_exhausted b ->
+              tripped := true;
+              Error b
           in
           let off =
             try Ok (Oracle.scores uncached (Sketch.perturb image pair))
@@ -327,10 +339,13 @@ let qcheck_memo_matches_uncached =
           if Oracle.queries cached <> Oracle.queries uncached then ok := false)
         seq;
       let s = Score_cache.stats cache in
-      (* Every charged lookup is a hit or a miss; distinct keys bound the
-         misses. *)
+      let lookups = s.Score_cache.hits + s.Score_cache.misses in
+      (* Every charged query was answered by a cache lookup (hit or
+         miss); only a query refused by the exhausted budget may have
+         looked up without a charge.  Distinct keys bound the misses. *)
       !ok
-      && s.Score_cache.hits + s.Score_cache.misses = Oracle.queries cached
+      && (if !tripped then lookups >= Oracle.queries cached
+          else lookups = Oracle.queries cached)
       && s.Score_cache.misses = Score_cache.length cache)
 
 (* classify / score_of remain plain metered queries alongside a cache. *)
@@ -357,10 +372,8 @@ let budget_charged_on_hits () =
   in
   let oracle = Helpers.mean_threshold_oracle ~budget:3 () in
   let cache = Score_cache.create () in
-  let ask () =
-    Oracle.scores_memo oracle cache ~key:(Sketch.cache_key pair)
-      ~input:(fun () -> Sketch.perturb image pair)
-  in
+  let batcher = cached_batcher oracle cache in
+  let ask () = Batcher.query batcher (pair_candidate image pair) in
   ignore (ask ());
   ignore (ask ());
   ignore (ask ());
@@ -464,7 +477,7 @@ let evaluator_guards () =
        ignore (Score.evaluate oracle program samples);
        false
      with Invalid_argument _ -> true);
-  Parallel.Pool.with_pool ~domains:2 (fun pool ->
+  Domain_pool.Pool.with_pool ~domains:2 (fun pool ->
       Alcotest.(check bool) "attached cache rejected by evaluate_parallel"
         true
         (try
@@ -488,7 +501,7 @@ let suite =
       sparse_rs_differential;
     Alcotest.test_case "synthesizer differential (seq + pools 1/4)" `Quick
       synthesizer_differential;
-    QCheck_alcotest.to_alcotest qcheck_memo_matches_uncached;
+    QCheck_alcotest.to_alcotest qcheck_cached_batcher_matches_uncached;
     Alcotest.test_case "classify/score_of unaffected" `Quick
       classify_and_score_of_unaffected;
     Alcotest.test_case "budget charged on hits" `Quick budget_charged_on_hits;

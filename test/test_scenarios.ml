@@ -10,9 +10,10 @@ module Location = Oppsla.Location
 module Gen = Oppsla.Gen
 module Condition = Oppsla.Condition
 
-(* (1) Decision-oracle metering charges exactly one query per call —
-   cache hits included — and the budget trips at exactly the query
-   index the score-mode path would trip at. *)
+(* (1) Decision-oracle metering through the cached width-1 batcher
+   charges exactly one query per call — cache hits included — and the
+   budget trips at exactly the query index the score-mode path would
+   trip at. *)
 let qcheck_decision_metering =
   QCheck.Test.make
     ~name:"decision metering: one query per call, cache hits included"
@@ -21,19 +22,25 @@ let qcheck_decision_metering =
       let calls = 1 + Prng.int g 16 in
       let o = Helpers.mean_threshold_oracle () in
       Oracle.set_mode o Oracle.Decision;
-      let cache = Score_cache.create () in
+      Oracle.set_cache o (Some (Score_cache.create ()));
+      let batcher = Batcher.create ~width:1 o in
       let image = Tensor.rand_uniform g ~lo:0.2 ~hi:0.8 [| 3; 4; 4 |] in
       (* The same key every time: every call after the first is a cache
          hit, and each must still cost one query. *)
-      let key = Score_cache.Custom "pairs:3,7" in
+      let cand =
+        {
+          Batcher.key = Score_cache.Custom "pairs:3,7";
+          input = (fun () -> image);
+        }
+      in
       for _ = 1 to calls do
-        ignore (Oracle.scores_memo o cache ~key ~input:(fun () -> image))
+        ignore (Batcher.query batcher cand)
       done;
       let metered = Oracle.queries o = calls in
       Oracle.set_budget o (Some calls);
       let trips =
         try
-          ignore (Oracle.scores_memo o cache ~key ~input:(fun () -> image));
+          ignore (Batcher.query batcher cand);
           false
         with Oracle.Budget_exhausted b -> b = calls
       in

@@ -7,8 +7,10 @@
      regress --smoke FILE [FILE ...]
        gate self-test: each file must pass against itself, and must
        FAIL against a synthetically degraded copy (every gated metric
-       pushed 20% the wrong way).  Exits 1 if either direction is
-       wrong.  This is what dune runtest runs.
+       pushed 20% the wrong way); a fresh 0.05 overhead_fraction must
+       FAIL against a 0.0 baseline (the absolute overhead target).
+       Exits 1 if any direction is wrong.  This is what dune runtest
+       runs.
 
    Options: --tolerance T (fractional noise allowance, default 0.10). *)
 
@@ -48,6 +50,19 @@ let () =
           (Printf.sprintf "registered baseline %s is committed and gated" reg)
           (List.mem reg basenames))
       Evalharness.Regress.registered_baselines;
+    (* Overhead fractions are gated against the absolute target even
+       when the committed baseline is 0.0 (below min_magnitude). *)
+    let overhead =
+      Evalharness.Regress.compare_metrics ~tolerance
+        ~baseline:[ ("overhead_fraction", 0.0) ]
+        ~fresh:[ ("overhead_fraction", 0.05) ]
+        ()
+    in
+    print_string
+      (Evalharness.Regress.render ~label:"0.05 overhead vs 0.0 baseline"
+         overhead);
+    check "0.05 overhead_fraction against a 0.0 baseline must regress"
+      (not (Evalharness.Regress.passed overhead));
     List.iter
       (fun b ->
         check
