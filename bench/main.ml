@@ -407,18 +407,16 @@ let bench_cache ?(smoke = false) quick =
     print_endline "[cache] wrote BENCH_cache.json (evaluations identical)"
   end
 
-(* Batched-inference benchmark.
+(* Inference-engine benchmark.
 
    Pits the per-candidate direct-convolution training forward
-   (Layer.forward ~train:false, batch width 1) against the compiled
-   boxed plan's im2col+GEMM engine posing speculative candidate chunks
-   (Batcher widths 1/4/16), with the score cache on and off, on a
-   Sketch+False attack workload.  Every combination must produce
-   bit-identical per-image query counts — the speculative-batching
-   invariant — and the batched-uncached engine must beat the
-   sequential-uncached baseline by at least 2x wall-clock.
-   Results, including a per-layer single-vs-batched forward breakdown,
-   go to BENCH_batch.json.
+   (Layer.forward ~train:false) against the compiled boxed plan's
+   im2col+GEMM engine, one forward image per uncached query, with the
+   score cache on and off, on a Sketch+False attack workload.  Every
+   combination must produce bit-identical per-image query counts, and
+   the uncached GEMM engine must beat the direct-convolution baseline by
+   at least 2x wall-clock.  Results, including a per-layer breakdown of
+   one image at a time vs one 16-image forward, go to BENCH_batch.json.
 
    --smoke runs a seconds-scale version (tiny network, no file writes,
    no speedup assertion — timing is not trustworthy on loaded CI hosts)
@@ -438,7 +436,7 @@ let bench_batch ?(smoke = false) quick =
          targets (VGG-16, ResNet-50) spend nearly all inference time in
          convolutions, so the bench workload should too.  The zoo's tiny
          nets are deliberately skinny for test speed, which makes their
-         per-plane norm/relu/pool overhead — identical under batching —
+         per-plane norm/relu/pool overhead — identical in both engines —
          an outsized share of the forward. *)
       let pg = Prng.split g in
       Nn.Network.create ~name:"vgg_bench"
@@ -485,80 +483,63 @@ let bench_batch ?(smoke = false) quick =
     (r, Unix.gettimeofday () -. t0)
   in
   (* One attack sweep over all images; returns per-image query counts —
-     the accounting that must not depend on the engine or the width. *)
-  let sweep ~oracle ~batch ~cache () =
+     the accounting that must not depend on the engine or the cache. *)
+  let sweep ~oracle ~cache () =
     Array.map
       (fun (image, true_class, target) ->
         let cache = if cache then Some (Score_cache.create ()) else None in
         let r =
           Oppsla.Sketch.attack ~max_queries ~goal:(Oppsla.Sketch.Targeted target)
-            ?cache ~batch (oracle ())
-            Oppsla.Condition.const_false_program ~image ~true_class
+            ?cache (oracle ()) Oppsla.Condition.const_false_program ~image
+            ~true_class
         in
         r.Oppsla.Sketch.queries)
       samples
   in
   let direct_oracle () =
-    (* No batch_fn: the training forward, one direct-convolution pass
-       per candidate even when the batcher poses a chunk. *)
+    (* The training forward: one direct-convolution pass per candidate. *)
     Oracle.of_fn ~name:"vgg_tiny-direct" ~num_classes (fun x ->
         Tensor.softmax (Nn.Layer.forward ~train:false net.Nn.Network.stack x))
   in
   let engine_oracle () = Oracle.of_network net in
-  let measure name ~oracle ~batch ~cache =
-    let counts = sweep ~oracle ~batch ~cache () in
-    Batcher.reset_global_stats ();
+  let measure name ~oracle ~cache =
+    let counts = sweep ~oracle ~cache () in
     (* Best-of-[reps]: the minimum is the standard noise-robust estimator
        for a deterministic workload (anything slower is interference). *)
     let dt = ref infinity in
     for _ = 1 to reps do
-      let (_ : int array), dt_rep = time (sweep ~oracle ~batch ~cache) in
+      let (_ : int array), dt_rep = time (sweep ~oracle ~cache) in
       if dt_rep < !dt then dt := dt_rep
     done;
-    let bstats = Batcher.global_stats () in
     let dt = !dt in
-    Printf.printf
-      "[batch] %-24s %8.3fs/sweep  (queries: %s; %d chunks, %d prepared, \
-       %d hits, %d discarded)\n%!"
-      name dt
-      (String.concat ","
-         (Array.to_list (Array.map string_of_int counts)))
-      bstats.Batcher.batches bstats.Batcher.prepared
-      bstats.Batcher.buffer_hits bstats.Batcher.discarded;
-    (name, counts, dt, bstats)
+    Printf.printf "[batch] %-18s %8.3fs/sweep  (queries: %s)\n%!" name dt
+      (String.concat "," (Array.to_list (Array.map string_of_int counts)));
+    (name, counts, dt)
   in
   let runs =
-    measure "direct-sequential" ~oracle:direct_oracle ~batch:1 ~cache:false
-    :: List.concat_map
-         (fun batch ->
-           List.map
-             (fun cache ->
-               measure
-                 (Printf.sprintf "gemm-b%d-cache-%s" batch
-                    (if cache then "on" else "off"))
-                 ~oracle:engine_oracle ~batch ~cache)
-             [ false; true ])
-         [ 1; 4; 16 ]
+    [
+      measure "direct-sequential" ~oracle:direct_oracle ~cache:false;
+      measure "gemm-cache-off" ~oracle:engine_oracle ~cache:false;
+      measure "gemm-cache-on" ~oracle:engine_oracle ~cache:true;
+    ]
   in
-  let _, reference, _, _ = List.hd runs in
+  let _, reference, _ = List.hd runs in
   List.iter
-    (fun (name, counts, _, _) ->
+    (fun (name, counts, _) ->
       if counts <> reference then
         failwith
           (Printf.sprintf
              "bench_batch: %s changed the per-image query counts" name))
     runs;
   let seconds_of name =
-    let _, _, dt, _ = List.find (fun (n, _, _, _) -> n = name) runs in
+    let _, _, dt = List.find (fun (n, _, _) -> n = name) runs in
     dt
   in
   let seq_dt = seconds_of "direct-sequential" in
-  let batched_dt = seconds_of "gemm-b16-cache-off" in
-  let speedup = if batched_dt > 0. then seq_dt /. batched_dt else 1. in
-  Printf.printf
-    "[batch] query counts identical across engines, widths and caches\n";
-  Printf.printf "[batch] batched-uncached speedup vs sequential-uncached: \
-                 %.2fx\n%!"
+  let gemm_dt = seconds_of "gemm-cache-off" in
+  let speedup = if gemm_dt > 0. then seq_dt /. gemm_dt else 1. in
+  Printf.printf "[batch] query counts identical across engines and caches\n";
+  Printf.printf "[batch] GEMM-uncached speedup vs direct-uncached: %.2fx\n%!"
     speedup;
   (* Per-layer forward breakdown: each layer timed on [bn] images one at
      a time (the training forward) vs one call of a single-step boxed
@@ -617,14 +598,12 @@ let bench_batch ?(smoke = false) quick =
     per_layer;
   if smoke then
     print_endline
-      "[batch] smoke: sequential/batched attacks bit-identical at widths \
-       1/4/16, cache on/off"
+      "[batch] smoke: direct and GEMM attacks bit-identical, cache on/off"
   else begin
     if speedup < 2. then
       failwith
         (Printf.sprintf
-           "bench_batch: expected >= 2x batched speedup, measured %.2fx"
-           speedup);
+           "bench_batch: expected >= 2x GEMM speedup, measured %.2fx" speedup);
     let oc = open_out "BENCH_batch.json" in
     Fun.protect
       ~finally:(fun () -> close_out oc)
@@ -634,27 +613,23 @@ let bench_batch ?(smoke = false) quick =
           \  \"workload\": \"Sketch+False on a throwaway conv-dominated \
            VGG-style net (16/32/32 channels), %d %dx%d images, cap %d\",\n\
           \  \"query_counts_identical\": true,\n\
-          \  \"speedup_batched_vs_sequential\": %.2f,\n\
+          \  \"speedup_gemm_vs_direct\": %.2f,\n\
           \  \"note\": \"direct-sequential is the per-candidate \
-           direct-convolution training forward; gemm-bN rows run the \
-           im2col+GEMM engine with speculative candidate chunks of width \
-           N.  Metering happens at consumption, so per-image query \
-           counts are asserted bit-identical across every row\",\n\
+           direct-convolution training forward; gemm rows run the \
+           compiled im2col+GEMM plan, one forward image per uncached \
+           query.  Per-image query counts are asserted bit-identical \
+           across every row\",\n\
           \  \"runs\": [\n"
           n_images image_size image_size max_queries speedup;
         let n = List.length runs in
         List.iteri
-          (fun i (name, counts, dt, (bstats : Batcher.stats)) ->
+          (fun i (name, counts, dt) ->
             Printf.fprintf oc
               "    {\"name\": %S, \"seconds_per_sweep\": %.4f, \
-               \"speedup_vs_sequential\": %.2f, \"total_queries\": %d, \
-               \"chunks\": %d, \"prepared\": %d, \"buffer_hits\": %d, \
-               \"discarded\": %d}%s\n"
+               \"speedup_vs_sequential\": %.2f, \"total_queries\": %d}%s\n"
               name dt
               (if dt > 0. then seq_dt /. dt else 1.)
               (Array.fold_left ( + ) 0 counts)
-              bstats.Batcher.batches bstats.Batcher.prepared
-              bstats.Batcher.buffer_hits bstats.Batcher.discarded
               (if i = n - 1 then "" else ","))
           runs;
         Printf.fprintf oc "  ],\n  \"per_layer_16_images\": [\n";
@@ -673,12 +648,12 @@ let bench_batch ?(smoke = false) quick =
 
 (* Telemetry-overhead benchmark.
 
-   Runs the batched Sketch+False attack workload with tracing disabled
+   Runs the Sketch+False attack workload with tracing disabled
    (the default null sink: one atomic load per span site) and enabled
    (Chrome trace events to a file), asserts the runs are observably
    inert — bit-identical per-image query counts — and bounds the
    enabled-path wall-clock overhead.  Also sanity-checks the artifacts:
-   the trace must contain the attack/batcher/forward spans and the
+   the trace must contain the attack/oracle/forward spans and the
    metrics registry must have metered the run.
 
    --smoke is a seconds-scale version wired into `dune runtest`: it
@@ -715,7 +690,7 @@ let bench_telemetry ?(smoke = false) quick =
         let r =
           Oppsla.Sketch.attack ~max_queries
             ~goal:(Oppsla.Sketch.Targeted target)
-            ~cache:(Score_cache.create ()) ~batch:16 (Oracle.of_network net)
+            ~cache:(Score_cache.create ()) (Oracle.of_network net)
             Oppsla.Condition.const_false_program ~image ~true_class
         in
         r.Oppsla.Sketch.queries)
@@ -791,17 +766,17 @@ let bench_telemetry ?(smoke = false) quick =
                      scan 0
                    in
                    if found then Hashtbl.replace seen name ())
-                 [ "sketch.attack"; "batcher.prepare"; "backend.forward_batch" ]
+                 [ "sketch.attack"; "oracle.eval_batch"; "backend.forward_batch" ]
              end
            done
          with End_of_file -> ());
         ( !events,
           List.for_all (Hashtbl.mem seen)
-            [ "sketch.attack"; "batcher.prepare"; "backend.forward_batch" ] ))
+            [ "sketch.attack"; "oracle.eval_batch"; "backend.forward_batch" ] ))
   in
   if not has_spans then
     failwith
-      "bench_telemetry: trace is missing attack/batcher/forward spans";
+      "bench_telemetry: trace is missing attack/oracle/forward spans";
   if smoke then Sys.remove trace_file;
   if ambient then
     Printf.eprintf
@@ -809,7 +784,7 @@ let bench_telemetry ?(smoke = false) quick =
        A/B measurement\n%!";
   let overhead = if off_dt > 0. then (on_dt -. off_dt) /. off_dt else 0. in
   Printf.printf
-    "[telemetry] %d images, cap %d, batch 16: %.3fs untraced, %.3fs traced \
+    "[telemetry] %d images, cap %d: %.3fs untraced, %.3fs traced \
      (%+.2f%% overhead), %d trace events, %d queries metered\n%!"
     n_images max_queries off_dt on_dt (100. *. overhead) events
     queries_metered;
@@ -838,7 +813,7 @@ let bench_telemetry ?(smoke = false) quick =
         Printf.fprintf oc
           "{\n\
           \  \"workload\": \"Sketch+False on vgg_tiny, %d %dx%d images, cap \
-           %d, batch 16, cache on\",\n\
+           %d, cache on\",\n\
           \  \"query_counts_identical\": true,\n\
           \  \"untraced_seconds\": %.4f,\n\
           \  \"traced_seconds\": %.4f,\n\
@@ -905,7 +880,7 @@ let bench_observe ?(smoke = false) quick =
         let r =
           Oppsla.Sketch.attack ~max_queries
             ~goal:(Oppsla.Sketch.Targeted target)
-            ~cache:(Score_cache.create ()) ~batch:16 (Oracle.of_network net)
+            ~cache:(Score_cache.create ()) (Oracle.of_network net)
             Oppsla.Condition.const_false_program ~image ~true_class
         in
         r.Oppsla.Sketch.queries)
@@ -999,7 +974,7 @@ let bench_observe ?(smoke = false) quick =
     if plain_dt > 0. then (observed_dt -. plain_dt) /. plain_dt else 0.
   in
   Printf.printf
-    "[observe] %d images, cap %d, batch 16: %.3fs plain, %.3fs observed \
+    "[observe] %d images, cap %d: %.3fs plain, %.3fs observed \
      (%+.2f%% overhead), %d sampler ticks, %d snapshot lines\n%!"
     n_images max_queries plain_dt observed_dt (100. *. overhead)
     sampler_samples snapshot_lines;
@@ -1028,7 +1003,7 @@ let bench_observe ?(smoke = false) quick =
         Printf.fprintf oc
           "{\n\
           \  \"workload\": \"Sketch+False on vgg_tiny, %d %dx%d images, cap \
-           %d, batch 16, cache on\",\n\
+           %d, cache on\",\n\
           \  \"query_counts_identical\": true,\n\
           \  \"plain_seconds\": %.4f,\n\
           \  \"observed_seconds\": %.4f,\n\
@@ -1095,7 +1070,7 @@ let bench_journal ?(smoke = false) quick =
         let r =
           Oppsla.Sketch.attack ~max_queries
             ~goal:(Oppsla.Sketch.Targeted target)
-            ~cache:(Score_cache.create ()) ~batch:16 (Oracle.of_network net)
+            ~cache:(Score_cache.create ()) (Oracle.of_network net)
             Oppsla.Condition.const_false_program ~image ~true_class
         in
         r.Oppsla.Sketch.queries)
@@ -1176,7 +1151,7 @@ let bench_journal ?(smoke = false) quick =
     if bare_dt > 0. then (journaled_dt -. bare_dt) /. bare_dt else 0.
   in
   Printf.printf
-    "[journal] %d images, cap %d, batch 16: %.3fs bare, %.3fs journaled \
+    "[journal] %d images, cap %d: %.3fs bare, %.3fs journaled \
      (%+.2f%% overhead), %d records for %d charges\n%!"
     n_images max_queries bare_dt journaled_dt (100. *. overhead)
     (List.length records) total_queries;
@@ -1206,7 +1181,7 @@ let bench_journal ?(smoke = false) quick =
         Printf.fprintf oc
           "{\n\
           \  \"workload\": \"Sketch+False on vgg_tiny, %d %dx%d images, cap \
-           %d, batch 16, cache on\",\n\
+           %d, cache on\",\n\
           \  \"query_counts_identical\": true,\n\
           \  \"records_match_charges\": true,\n\
           \  \"bare_seconds\": %.4f,\n\
@@ -1281,7 +1256,7 @@ let bench_profile ?(smoke = false) quick =
         let r =
           Oppsla.Sketch.attack ~max_queries
             ~goal:(Oppsla.Sketch.Targeted target)
-            ~cache:(Score_cache.create ()) ~batch:16 (Oracle.of_network net)
+            ~cache:(Score_cache.create ()) (Oracle.of_network net)
             Oppsla.Condition.const_false_program ~image ~true_class
         in
         (r.Oppsla.Sketch.queries, Option.is_some r.Oppsla.Sketch.adversarial))
@@ -1383,7 +1358,7 @@ let bench_profile ?(smoke = false) quick =
         a.Evalharness.Traceprof.coverage)
   in
   Printf.printf
-    "[profile] %d images, cap %d, batch 16: %.3fs bare, %.3fs profiled \
+    "[profile] %d images, cap %d: %.3fs bare, %.3fs profiled \
      (%+.2f%% CPU overhead over %.1fs+%.1fs CPU), %d minor pauses \
      observed, %.1f%% of trace wall-clock attributed\n\
      %!"
@@ -1427,7 +1402,7 @@ let bench_profile ?(smoke = false) quick =
         Printf.fprintf oc
           "{\n\
           \  \"workload\": \"Sketch+False on vgg_tiny, %d %dx%d images, cap \
-           %d, batch 16, cache on\",\n\
+           %d, cache on\",\n\
           \  \"results_identical\": true,\n\
           \  \"bare_seconds\": %.4f,\n\
           \  \"profiled_seconds\": %.4f,\n\
@@ -1547,10 +1522,6 @@ let bench_synth ?(smoke = false) quick =
          is the regime early stopping is built for. *)
       beta = 0.5;
       max_queries_per_image = Some cap;
-      (* batch = 1 so wall-clock tracks metered queries: speculative
-         batching prepares tensors whose cost depends on speculation
-         accuracy, which differs between the two arms. *)
-      batch = 1;
       early_stop;
     }
   in
@@ -1635,7 +1606,7 @@ let bench_synth ?(smoke = false) quick =
           "{\n\
           \  \"workload\": \"island synthesis against the mean-threshold \
            oracle, %d islands x %d rounds, %d %dx%d special-pixel images, \
-           cap %d, batch 1, cache off\",\n\
+           cap %d, cache off\",\n\
           \  \"replay_identical_across_domains\": true,\n\
           \  \"exact_seconds\": %.4f,\n\
           \  \"early_stop_seconds\": %.4f,\n\
@@ -1649,7 +1620,7 @@ let bench_synth ?(smoke = false) quick =
           \  \"best_avg_queries_early_stop\": %.4f,\n\
           \  \"note\": \"best-of-%d runs per arm; both arms run the same \
            archipelago (seed, temperature ladder, ring migration) with the \
-           score cache off and batch 1 so wall-clock tracks metered \
+           score cache off so wall-clock tracks metered \
            queries.  Each image's cost is the position at which a program's \
            queue edits surface its unique flipping pair, so bad orderings \
            are heavy-tailed and every query feeds the bound.  The \
@@ -1682,8 +1653,8 @@ let bench_synth ?(smoke = false) quick =
    --smoke (under `dune runtest`) asserts that the decision-mode
    Sparse-RS attack beats the uniform random baseline's total query
    count over the corpus, and that every space x oracle-mode sweep
-   produces bit-identical per-image (queries, success) records at batch
-   widths 1 and 16.  The full run measures the same on a larger corpus
+   produces bit-identical per-image (queries, success) records with the
+   score cache on and off.  The full run measures the same on a larger corpus
    and writes BENCH_scenarios.json: decision vs score query counts for
    Sparse-RS (the measured decision-mode overhead), k = 1/2 pixel and
    2x2 patch sweeps, and the random-baseline comparison. *)
@@ -1773,8 +1744,8 @@ let bench_scenarios ?(smoke = false) quick =
           uniform random baseline (%d queries)"
          srs_q rnd_q);
   (* Space x oracle-mode sweeps: per-image (queries, success) records
-     must be bit-identical at batch widths 1 and 16 — the
-     speculative-batching invariant, per scenario cell. *)
+     must be bit-identical with the score cache on and off — metering
+     sits above the cache — per scenario cell. *)
   let spaces = [ Space.Pixel; Space.Kpixel 2; Space.Patch { h = 2; w = 2 } ] in
   let modes = [ (Oracle.Score, "score"); (Oracle.Decision, "decision") ] in
   let sweep_results =
@@ -1782,10 +1753,11 @@ let bench_scenarios ?(smoke = false) quick =
       (fun space ->
         List.map
           (fun (mode, mode_name) ->
-            let run batch =
+            let run cache =
               Array.init sweep_images (fun i ->
                   let o = oracle () in
                   Oracle.set_mode o mode;
+                  if cache then Oracle.set_cache o (Some (Score_cache.create ()));
                   let g =
                     Prng.named_stream (Prng.copy g0)
                       (Printf.sprintf "scenarios/sweep/%s/%s/%d"
@@ -1794,16 +1766,15 @@ let bench_scenarios ?(smoke = false) quick =
                   let r =
                     Sparse_rs.attack_space
                       ~config:(Sparse_rs.default_config ~max_queries:cap)
-                      ~batch ~space g o ~image ~true_class
+                      ~space g o ~image ~true_class
                   in
                   (r.Sparse_rs.queries, r.Sparse_rs.adversarial <> None))
             in
-            let r1, dt = time (fun () -> run 1) in
-            if r1 <> run 16 then
+            let r1, dt = time (fun () -> run false) in
+            if r1 <> run true then
               failwith
                 (Printf.sprintf
-                   "bench_scenarios: %s/%s diverged between batch widths 1 \
-                    and 16"
+                   "bench_scenarios: %s/%s diverged between cache off and on"
                    (Space.to_string space) mode_name);
             let queries = Array.fold_left (fun a (q, _) -> a + q) 0 r1 in
             let succ =
@@ -1820,8 +1791,8 @@ let bench_scenarios ?(smoke = false) quick =
         ok sweep_images dt)
     sweep_results;
   print_endline
-    "[scenarios] per-image query counts bit-identical at batch widths 1/16 \
-     for every space x oracle cell";
+    "[scenarios] per-image query counts bit-identical with cache off/on for \
+     every space x oracle cell";
   if smoke then
     print_endline
       "[scenarios] smoke: decision Sparse-RS beat the uniform random \
@@ -1859,7 +1830,7 @@ let bench_scenarios ?(smoke = false) quick =
           "  ],\n\
           \  \"note\": \"all attacks run through named per-image PRNG \
            streams, so query counts are deterministic; per-image records \
-           are asserted bit-identical at batch widths 1 and 16 for every \
+           are asserted bit-identical with the score cache off and on for every \
            space x oracle cell.  Decision mode collapses observations to \
            one-hot labels without touching metering, so the decision vs \
            score query gap measures what the richer observation buys the \
@@ -1884,8 +1855,8 @@ let bench_scenarios ?(smoke = false) quick =
      boxed ignores it) — the ≥1.5x acceptance gate lives here;
    - full attack sweeps through metered oracles on each backend,
      asserting the invariant that makes the backend swappable: per-image
-     query counts and success flags are bit-identical across backends at
-     every batch width, argmax agrees on 100% of a probe batch, and
+     query counts and success flags are bit-identical across backends,
+     argmax agrees on 100% of a probe batch, and
      per-score deviation stays within Nn.Backend.score_tol.
 
    Also asserted: the f32 engine's pool-dispatched scores are
@@ -2027,7 +1998,7 @@ let bench_backend ?(smoke = false) quick =
      the network's least likely class (streams to the cap — a sustained
      identical workload) plus untargeted (succeeds sometimes — exercises
      the success flag).  (queries, success) per image must be
-     bit-identical across backends and batch widths. *)
+     bit-identical across backends. *)
   let samples =
     Array.map
       (fun image ->
@@ -2044,7 +2015,7 @@ let bench_backend ?(smoke = false) quick =
     | Backend.Boxed -> fun () -> Oracle.of_network net
     | Backend.F32 -> fun () -> Oracle.of_network ~backend:Backend.F32 net
   in
-  let sweep ~backend ~batch ~targeted () =
+  let sweep ~backend ~targeted () =
     Array.map
       (fun (image, true_class, target) ->
         let goal =
@@ -2052,36 +2023,27 @@ let bench_backend ?(smoke = false) quick =
           else Oppsla.Sketch.Untargeted
         in
         let r =
-          Oppsla.Sketch.attack ~max_queries ~goal ~batch
-            (oracle_of backend ())
+          Oppsla.Sketch.attack ~max_queries ~goal (oracle_of backend ())
             Oppsla.Condition.const_false_program ~image ~true_class
         in
         (r.Oppsla.Sketch.queries, r.Oppsla.Sketch.adversarial <> None))
       samples
   in
-  let cells =
-    List.concat_map
-      (fun backend ->
-        List.map (fun batch -> (backend, batch)) [ 1; 16 ])
-      [ Backend.Boxed; Backend.F32 ]
-  in
   List.iter
     (fun targeted ->
-      let reference = sweep ~backend:Backend.Boxed ~batch:1 ~targeted () in
-      List.iter
-        (fun (backend, batch) ->
-          if sweep ~backend ~batch ~targeted () <> reference then
-            failwith
-              (Printf.sprintf
-                 "bench_backend: %s b%d changed the per-image \
-                  (queries, success) records (%s)"
-                 (Backend.kind_name backend) batch
-                 (if targeted then "targeted" else "untargeted")))
-        cells)
+      if
+        sweep ~backend:Backend.F32 ~targeted ()
+        <> sweep ~backend:Backend.Boxed ~targeted ()
+      then
+        failwith
+          (Printf.sprintf
+             "bench_backend: f32 changed the per-image (queries, success) \
+              records (%s)"
+             (if targeted then "targeted" else "untargeted")))
     [ true; false ];
   print_endline
     "[backend] per-image (queries, success) records bit-identical across \
-     backends at batch widths 1/16, targeted and untargeted";
+     backends, targeted and untargeted";
   if smoke then
     print_endline
       "[backend] smoke: boxed/f32 success and query counts identical; \
@@ -2089,8 +2051,8 @@ let bench_backend ?(smoke = false) quick =
   else begin
     (* Raw forward throughput: best-of-reps over a fixed batch, the
        production boxed plan vs the f32 plan, inline and pool-dispatched. *)
-    let forward name ~batch scores_fn =
-      let xb = pack (Array.init batch (fun i -> clean.(i mod n_images))) in
+    let forward name ~images scores_fn =
+      let xb = pack (Array.init images (fun i -> clean.(i mod n_images))) in
       ignore (scores_fn xb);
       let dt = ref infinity in
       for _ = 1 to reps do
@@ -2104,10 +2066,10 @@ let bench_backend ?(smoke = false) quick =
         in
         if d < !dt then dt := d
       done;
-      let ips = float_of_int (batch * fwd_reps) /. !dt in
+      let ips = float_of_int (images * fwd_reps) /. !dt in
       Printf.printf "[backend] forward %-14s %8.1f images/s (batch %d)\n%!"
-        name ips batch;
-      (name, batch, ips)
+        name ips images;
+      (name, images, ips)
     in
     let boxed_fn xb = Boxed.scores_batch boxed_plan xb in
     let f32_fn xb = F32.scores_batch plan xb in
@@ -2123,16 +2085,16 @@ let bench_backend ?(smoke = false) quick =
     and pool_b16 = Printf.sprintf "f32-pool%d-b16" host_width in
     let forwards =
       [
-        forward "boxed-b1" ~batch:1 boxed_fn;
-        forward "boxed-b16" ~batch:16 boxed_fn;
-        forward "f32-d1-b1" ~batch:1 f32_fn;
-        forward "f32-d1-b16" ~batch:16 f32_fn;
+        forward "boxed-b1" ~images:1 boxed_fn;
+        forward "boxed-b16" ~images:16 boxed_fn;
+        forward "f32-d1-b1" ~images:1 f32_fn;
+        forward "f32-d1-b16" ~images:16 f32_fn;
       ]
       @ Domain_pool.Pool.with_pool ~domains:host_width (fun pool ->
             let f32_pool_fn xb = F32.scores_batch ~pool plan xb in
             [
-              forward pool_b1 ~batch:1 f32_pool_fn;
-              forward pool_b16 ~batch:16 f32_pool_fn;
+              forward pool_b1 ~images:1 f32_pool_fn;
+              forward pool_b16 ~images:16 f32_pool_fn;
             ])
     in
     let ips_of name =
@@ -2151,13 +2113,13 @@ let bench_backend ?(smoke = false) quick =
            "bench_backend: expected >= %.2fx f32+pool speedup at batch 16 \
             (pool width %d), measured %.2fx"
            threshold host_width speedup);
-    (* Attack-sweep wall clock per backend (batch 16, targeted — the
-       sustained full-cap workload). *)
+    (* Attack-sweep wall clock per backend (targeted — the sustained
+       full-cap workload). *)
     let attack_row backend =
       let dt = ref infinity in
       for _ = 1 to reps do
         let (_ : (int * bool) array), d =
-          time (sweep ~backend ~batch:16 ~targeted:true)
+          time (sweep ~backend ~targeted:true)
         in
         if d < !dt then dt := d
       done;
@@ -2211,7 +2173,7 @@ let bench_backend ?(smoke = false) quick =
           "  ],\n\
           \  \"note\": \"query metering sits above the backend, so \
            per-image (queries, success) records are asserted \
-           bit-identical across backends and batch widths; f32 \
+           bit-identical across backends; f32 \
            pool-dispatched scores are asserted bit-identical to inline \
            f32 (per-element accumulation order is panelling-independent); \
            cross-backend scores agree on argmax and stay within \

@@ -72,23 +72,6 @@ let cache_arg =
   in
   Arg.(value & vflag true [ cache; no_cache ])
 
-let batch_arg =
-  let doc =
-    "Speculative candidate batch width: attacks pose up to this many \
-     candidates per forward-pass chunk.  Results, query counts and \
-     synthesis traces are bit-identical at every width (metering happens \
-     at consumption); 1 is the sequential path."
-  in
-  Arg.(
-    value
-    & opt int Oppsla.Sketch.default_batch
-    & info [ "batch"; "b" ] ~doc)
-
-let check_batch batch k =
-  if batch < 1 then
-    `Error (false, Printf.sprintf "--batch must be >= 1 (got %d)" batch)
-  else k ()
-
 let class_arg =
   let doc = "Class id the program is synthesized for / attacked in." in
   Arg.(value & opt int 0 & info [ "class"; "c" ] ~doc)
@@ -157,7 +140,7 @@ let with_space space_name k =
 let trace_arg =
   let doc =
     "Write a Chrome trace-event JSON file of the run's spans (oracle \
-     queries, batcher chunks, pool jobs, per-layer forward passes, \
+     queries, pool jobs, per-layer forward passes, \
      synthesizer iterations) to $(docv); open it in chrome://tracing or \
      Perfetto.  Tracing is observation-only: results, query counts and \
      synthesis traces are bit-identical with it on or off."
@@ -211,7 +194,7 @@ let journal_arg =
      per charged oracle query: run id, charge site, image index, cache \
      key, oracle mode, cache hit, batcher chunk, backend) to $(docv).  \
      Audit offline with tools/audit.exe — two journals of the same \
-     attack under different --domains/--cache/--batch/--backend \
+     attack under different --domains/--cache/--backend \
      settings must carry bit-identical per-image charge sequences.  \
      Observation-only: results and query counts are unchanged."
   in
@@ -310,7 +293,7 @@ let synthesize_cmd =
       "Island-model synthesis: run $(docv) tempered MH chains in lockstep \
        rounds with periodic ring migration of elite programs.  The elite \
        trace is bit-identical for a fixed seed whatever --domains, \
-       --cache, --batch or kill/resume history."
+       --cache or kill/resume history."
     in
     Arg.(value & opt int 1 & info [ "islands" ] ~docv:"K" ~doc)
   in
@@ -353,12 +336,11 @@ let synthesize_cmd =
     in
     Arg.(value & vflag false [ on; off ])
   in
-  let run dataset arch seed artifacts class_id iters domains cache batch
-      islands checkpoint resume early_stop trace metrics serve snapshot
+  let run dataset arch seed artifacts class_id iters domains cache islands
+      checkpoint resume early_stop trace metrics serve snapshot
       snapshot_interval stall_timeout journal run_id profile backend =
     with_spec dataset @@ fun spec ->
     with_backend backend @@ fun backend ->
-    check_batch batch @@ fun () ->
     if class_id < 0 || class_id >= spec.Dataset.num_classes then
       `Error
         ( false,
@@ -394,7 +376,6 @@ let synthesize_cmd =
                 Some
                   Workbench.default_synth_params
                     .Workbench.synth_max_queries_per_image;
-              batch;
               early_stop =
                 (if early_stop then Some Oppsla.Score.default_pac else None);
               checkpoint = (if checkpoint = "" then None else Some checkpoint);
@@ -444,7 +425,6 @@ let synthesize_cmd =
             iters;
             domains = domains_opt domains;
             cache;
-            batch;
           }
         in
         let programs = Workbench.synthesize_programs ~params config c in
@@ -459,8 +439,7 @@ let synthesize_cmd =
     Term.(
       ret
         (const run $ dataset_arg $ arch_arg $ seed_arg $ artifacts_arg
-       $ class_arg $ iters_arg $ domains_arg $ cache_arg $ batch_arg
-       $ islands_arg $ checkpoint_arg $ resume_arg $ early_stop_arg
+       $ class_arg $ iters_arg $ domains_arg $ cache_arg $ islands_arg $ checkpoint_arg $ resume_arg $ early_stop_arg
        $ trace_arg $ metrics_arg $ serve_metrics_arg $ snapshot_arg
        $ snapshot_interval_arg $ stall_timeout_arg $ journal_arg
        $ run_id_arg $ profile_arg $ backend_arg))
@@ -506,117 +485,111 @@ let attack_cmd =
              file on success.")
   in
   let run dataset arch seed artifacts class_id index program_text target
-      save_ppm batch oracle_mode space trace metrics serve snapshot
+      save_ppm oracle_mode space trace metrics serve snapshot
       snapshot_interval stall_timeout journal run_id profile backend =
     with_spec dataset @@ fun spec ->
     with_oracle_mode oracle_mode @@ fun oracle_mode ->
     with_space space @@ fun space ->
     with_backend backend @@ fun backend ->
-    check_batch batch (fun () ->
-        let config = workbench_config ~backend artifacts seed in
-        let c = Workbench.load_classifier config spec arch in
-        let candidates =
-          Array.of_list
-            (List.filter
-               (fun (_, cl) -> cl = class_id)
-               (Array.to_list c.Workbench.test))
-        in
-        if Array.length candidates = 0 then
-          `Error
-            ( false,
-              Printf.sprintf
-                "no correctly classified test images of class %d" class_id )
-        else if index < 0 || index >= Array.length candidates then
-          `Error
-            ( false,
-              Printf.sprintf "index %d out of range [0, %d)" index
-                (Array.length candidates) )
-        else begin
-          with_telemetry ~trace ~metrics ~serve ~snapshot ~snapshot_interval
-            ~stall_timeout ~journal ~run_id ~profile ~backend
-          @@ fun () ->
-          let image, true_class = candidates.(index) in
-          let oracle = Workbench.oracle_factory c () in
-          Oracle.set_mode oracle oracle_mode;
-          let goal =
-            if target < 0 then Oppsla.Sketch.Untargeted
-            else Oppsla.Sketch.Targeted target
-          in
-          let r =
-            match space with
-            | Oppsla.Space.Pixel ->
-                let program =
-                  if program_text = "" then
-                    (Workbench.synthesize_programs config c).(class_id)
-                  else
-                    match Oppsla.Dsl.parse_program program_text with
-                    | Ok p -> p
-                    | Error e ->
-                        prerr_endline
-                          (Oppsla.Dsl.describe_error program_text e);
-                        exit 1
-                in
-                Printf.printf "program: %s\n"
-                  (Oppsla.Dsl.print_program program);
-                Oppsla.Sketch.attack ~goal ~batch oracle program ~image
-                  ~true_class
-            | _ ->
-                (* Non-pixel spaces attack with Sparse-RS; the reported
-                   pair is the perturbed set's first element (the full
-                   set is in the adversarial image itself). *)
-                Printf.printf "space: %s (Sparse-RS search)\n"
-                  (Oppsla.Space.to_string space);
-                let g =
-                  Prng.named_stream (Prng.of_int seed)
-                    (Printf.sprintf "attack-cli/%s" (Oppsla.Space.to_string space))
-                in
-                let m =
-                  Baselines.Sparse_rs.attack_space ~batch ~goal ~space g
-                    oracle ~image ~true_class
-                in
-                {
-                  Oppsla.Sketch.adversarial =
-                    Option.map
-                      (fun (pairs, candidate) -> (List.hd pairs, candidate))
-                      m.Baselines.Sparse_rs.adversarial;
-                  queries = m.Baselines.Sparse_rs.queries;
-                }
-          in
-          (match r.Oppsla.Sketch.adversarial with
-          | Some (pair, adversarial) ->
-              let new_class =
-                Oracle.unmetered_classify oracle adversarial
-              in
-              Printf.printf
-                "SUCCESS after %d queries: pixel %s -> class %d (%s)\n"
-                r.Oppsla.Sketch.queries (Oppsla.Pair.to_string pair) new_class
-                spec.Dataset.class_names.(new_class);
-              if save_ppm <> "" then begin
-                let panel =
-                  Image.side_by_side
-                    [
-                      Image.upscale ~factor:8 image;
-                      Image.upscale ~factor:8 adversarial;
-                      Image.upscale ~factor:8
-                        (Image.highlight_diff image adversarial);
-                    ]
-                in
-                Image.write_ppm save_ppm panel;
-                Printf.printf "wrote %s\n" save_ppm
-              end
-          | None ->
-              Printf.printf "no one-pixel adversarial example (%d queries)\n"
-                r.Oppsla.Sketch.queries);
-          print_telemetry_report ();
-          `Ok ()
-        end)
+    let config = workbench_config ~backend artifacts seed in
+    let c = Workbench.load_classifier config spec arch in
+    let candidates =
+      Array.of_list
+        (List.filter
+           (fun (_, cl) -> cl = class_id)
+           (Array.to_list c.Workbench.test))
+    in
+    if Array.length candidates = 0 then
+      `Error
+        ( false,
+          Printf.sprintf "no correctly classified test images of class %d"
+            class_id )
+    else if index < 0 || index >= Array.length candidates then
+      `Error
+        ( false,
+          Printf.sprintf "index %d out of range [0, %d)" index
+            (Array.length candidates) )
+    else begin
+      with_telemetry ~trace ~metrics ~serve ~snapshot ~snapshot_interval
+        ~stall_timeout ~journal ~run_id ~profile ~backend
+      @@ fun () ->
+      let image, true_class = candidates.(index) in
+      let oracle = Workbench.oracle_factory c () in
+      Oracle.set_mode oracle oracle_mode;
+      let goal =
+        if target < 0 then Oppsla.Sketch.Untargeted
+        else Oppsla.Sketch.Targeted target
+      in
+      let r =
+        match space with
+        | Oppsla.Space.Pixel ->
+            let program =
+              if program_text = "" then
+                (Workbench.synthesize_programs config c).(class_id)
+              else
+                match Oppsla.Dsl.parse_program program_text with
+                | Ok p -> p
+                | Error e ->
+                    prerr_endline (Oppsla.Dsl.describe_error program_text e);
+                    exit 1
+            in
+            Printf.printf "program: %s\n" (Oppsla.Dsl.print_program program);
+            Oppsla.Sketch.attack ~goal oracle program ~image ~true_class
+        | _ ->
+            (* Non-pixel spaces attack with Sparse-RS; the reported pair
+               is the perturbed set's first element (the full set is in
+               the adversarial image itself). *)
+            Printf.printf "space: %s (Sparse-RS search)\n"
+              (Oppsla.Space.to_string space);
+            let g =
+              Prng.named_stream (Prng.of_int seed)
+                (Printf.sprintf "attack-cli/%s" (Oppsla.Space.to_string space))
+            in
+            let m =
+              Baselines.Sparse_rs.attack_space ~goal ~space g oracle ~image
+                ~true_class
+            in
+            {
+              Oppsla.Sketch.adversarial =
+                Option.map
+                  (fun (pairs, candidate) -> (List.hd pairs, candidate))
+                  m.Baselines.Sparse_rs.adversarial;
+              queries = m.Baselines.Sparse_rs.queries;
+            }
+      in
+      (match r.Oppsla.Sketch.adversarial with
+      | Some (pair, adversarial) ->
+          let new_class = Oracle.unmetered_classify oracle adversarial in
+          Printf.printf
+            "SUCCESS after %d queries: pixel %s -> class %d (%s)\n"
+            r.Oppsla.Sketch.queries (Oppsla.Pair.to_string pair) new_class
+            spec.Dataset.class_names.(new_class);
+          if save_ppm <> "" then begin
+            let panel =
+              Image.side_by_side
+                [
+                  Image.upscale ~factor:8 image;
+                  Image.upscale ~factor:8 adversarial;
+                  Image.upscale ~factor:8
+                    (Image.highlight_diff image adversarial);
+                ]
+            in
+            Image.write_ppm save_ppm panel;
+            Printf.printf "wrote %s\n" save_ppm
+          end
+      | None ->
+          Printf.printf "no one-pixel adversarial example (%d queries)\n"
+            r.Oppsla.Sketch.queries);
+      print_telemetry_report ();
+      `Ok ()
+    end
   in
   let term =
     Term.(
       ret
         (const run $ dataset_arg $ arch_arg $ seed_arg $ artifacts_arg
        $ class_arg $ index_arg $ program_arg $ target_arg $ save_ppm_arg
-       $ batch_arg $ oracle_arg $ space_arg $ trace_arg $ metrics_arg
+       $ oracle_arg $ space_arg $ trace_arg $ metrics_arg
        $ serve_metrics_arg $ snapshot_arg $ snapshot_interval_arg
        $ stall_timeout_arg $ journal_arg $ run_id_arg $ profile_arg
        $ backend_arg))
@@ -660,10 +633,9 @@ let eval_cmd =
     in
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let run seed artifacts domains cache batch trace metrics serve snapshot
+  let run seed artifacts domains cache trace metrics serve snapshot
       snapshot_interval stall_timeout journal run_id profile backend
       experiment =
-    check_batch batch @@ fun () ->
     with_backend backend @@ fun backend ->
     with_telemetry ~trace ~metrics ~serve ~snapshot ~snapshot_interval
       ~stall_timeout ~journal ~run_id ~profile ~backend
@@ -675,7 +647,6 @@ let eval_cmd =
         base with
         Experiments.domains = domains_opt domains;
         cache;
-        batch;
         synth = { base.Experiments.synth with Workbench.cache };
         imagenet_synth =
           { base.Experiments.imagenet_synth with Workbench.cache };
@@ -718,7 +689,7 @@ let eval_cmd =
     Term.(
       ret
         (const run $ seed_arg $ artifacts_arg $ domains_arg $ cache_arg
-       $ batch_arg $ trace_arg $ metrics_arg $ serve_metrics_arg
+       $ trace_arg $ metrics_arg $ serve_metrics_arg
        $ snapshot_arg $ snapshot_interval_arg $ stall_timeout_arg
        $ journal_arg $ run_id_arg $ profile_arg $ backend_arg
        $ experiment_arg))

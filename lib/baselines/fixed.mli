@@ -12,11 +12,10 @@ val attack :
   ?max_queries:int ->
   ?goal:Oppsla.Sketch.goal ->
   ?cache:Score_cache.t ->
-  ?batch:int ->
   Oracle.t ->
   image:Tensor.t ->
   true_class:int ->
   Oppsla.Sketch.result
-(** The sketch run with {!program}.  [cache] and [batch] are forwarded to
-    {!Oppsla.Sketch.attack} (defaulting to the oracle's attached cache
-    and {!Oppsla.Sketch.default_batch} respectively). *)
+(** The sketch run with {!program}.  [cache] is forwarded to
+    {!Oppsla.Sketch.attack} (defaulting to the oracle's attached
+    cache). *)

@@ -4,8 +4,8 @@ type outcome = {
   synth_queries : int;
 }
 
-let synthesize ?(samples = 210) ?max_queries_per_image ?caches ?batch
-    ?evaluator g oracle ~training =
+let synthesize ?(samples = 210) ?max_queries_per_image ?caches ?evaluator g
+    oracle ~training =
   if Array.length training = 0 then
     invalid_arg "Random_search.synthesize: empty training set";
   if samples <= 0 then invalid_arg "Random_search.synthesize: samples <= 0";
@@ -16,7 +16,7 @@ let synthesize ?(samples = 210) ?max_queries_per_image ?caches ?batch
     | None ->
         fun program samples ->
           Oppsla.Score.evaluate ?max_queries:max_queries_per_image ?caches
-            ?batch oracle program samples
+            oracle program samples
   in
   let spent = ref 0 in
   let best = ref None in

@@ -17,7 +17,6 @@ val synthesize :
   ?samples:int ->
   ?max_queries_per_image:int ->
   ?caches:Score_cache.store ->
-  ?batch:int ->
   ?evaluator:
     (Oppsla.Condition.program ->
     (Tensor.t * int) array ->
@@ -30,6 +29,4 @@ val synthesize :
     runner), exactly as in {!Oppsla.Synthesizer.config}.  [caches] (one
     slot per training image, shared across all sampled programs) is
     forwarded to the default evaluator and ignored when [evaluator] is
-    given — a custom evaluator owns its own caching.  [batch] (default
-    {!Oppsla.Sketch.default_batch}) is the speculative chunk width
-    forwarded the same way; outcomes are bit-identical at every width. *)
+    given — a custom evaluator owns its own caching. *)

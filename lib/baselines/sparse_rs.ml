@@ -56,22 +56,21 @@ let perturb_set image pairs =
 (* The shared random-search engine: a state type with a cache key, a
    materializer, an initial sample and a proposal kernel.  Both the
    k-pixel and the patch instantiations run the same accept-iff-loss-
-   does-not-increase loop with the same speculative batching. *)
-let search (type s) ~config ~batch ~goal ~(key : s -> Score_cache.key)
+   does-not-increase loop, one query per proposal. *)
+let search (type s) ~config ~goal ~(key : s -> Score_cache.key)
     ~(materialize : s -> Tensor.t) ~(pairs_of : s -> Oppsla.Pair.t list)
-    ~(initial : Prng.t -> s) ~(propose : g:Prng.t -> spent:int -> s -> s) g
-    oracle ~true_class =
+    ~(initial : Prng.t -> s) ~(propose : spent:int -> s -> s) g oracle
+    ~true_class =
   let spent = ref 0 in
-  let batcher = Batcher.create ~width:batch oracle in
-  let candidate_of state =
-    { Batcher.key = key state; input = (fun () -> materialize state) }
-  in
-  let query ?speculate state =
+  let batcher = Batcher.create oracle in
+  let query state =
     if !spent >= config.max_queries then
       raise (Done { adversarial = None; queries = !spent });
     let scores =
       try
-        Oracle.observe oracle (Batcher.query batcher ?speculate (candidate_of state))
+        Oracle.observe oracle
+          (Batcher.query batcher
+             { Batcher.key = key state; input = (fun () -> materialize state) })
       with Oracle.Budget_exhausted _ ->
         raise (Done { adversarial = None; queries = !spent })
     in
@@ -86,37 +85,14 @@ let search (type s) ~config ~batch ~goal ~(key : s -> Score_cache.key)
            });
     loss goal scores ~true_class
   in
-  (* Speculate assuming every pending proposal is rejected: [base] stays
-     current, the PRNG clone advances exactly as the real stream will on
-     rejection, and the [i]-th future proposal is generated at the query
-     index the sequential path would use.  An acceptance diverges the
-     key stream and the batcher rebuilds — never a correctness event. *)
-  let query_speculating base state =
-    let spec_g = ref None in
-    let speculate i =
-      if i >= config.max_queries - !spent - 1 then None
-      else begin
-        let g' =
-          match !spec_g with
-          | Some g' -> g'
-          | None ->
-              let g' = Prng.copy g in
-              spec_g := Some g';
-              g'
-        in
-        Some (candidate_of (propose ~g:g' ~spent:(!spent + 1 + i) base))
-      end
-    in
-    query ~speculate state
-  in
   Telemetry.Journal.with_default_site "baseline/sparse_rs" @@ fun () ->
   Telemetry.Watchdog.with_loop wd @@ fun () ->
   try
     let current = ref (initial g) in
-    let current_loss = ref (query_speculating !current !current) in
+    let current_loss = ref (query !current) in
     while true do
-      let proposal = propose ~g ~spent:!spent !current in
-      let l = query_speculating !current proposal in
+      let proposal = propose ~spent:!spent !current in
+      let l = query proposal in
       if l <= !current_loss then begin
         current := proposal;
         current_loss := l
@@ -125,8 +101,8 @@ let search (type s) ~config ~batch ~goal ~(key : s -> Score_cache.key)
     assert false
   with Done r -> r
 
-let attack_multi ?config ?(batch = Oppsla.Sketch.default_batch)
-    ?(goal = Oppsla.Sketch.Untargeted) ~k g oracle ~image ~true_class =
+let attack_multi ?config ?(goal = Oppsla.Sketch.Untargeted) ~k g oracle ~image
+    ~true_class =
   let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
   if k < 1 || k > d1 * d2 then
     invalid_arg
@@ -138,15 +114,9 @@ let attack_multi ?config ?(batch = Oppsla.Sketch.default_batch)
     | Some c -> c
     | None -> default_config ~max_queries:(Oppsla.Pair.count ~d1 ~d2)
   in
-  (* Proposal generation is a pure function of an explicit PRNG and an
-     explicit query index, so the batcher can speculate future proposals
-     from a {!Prng.copy} clone without advancing the real stream: the
-     real state only moves when a proposal is actually generated, which
-     keeps the draw sequence — hence everything downstream — bit-identical
-     to the sequential path at every batch width. *)
   (* Resample [count] of the pixels: each selected slot gets either a
      fresh location (exploration) or only a fresh color. *)
-  let propose ~g ~spent current =
+  let propose ~spent current =
     let explore = explore_probability config spent in
     let count = max 1 (int_of_float (Float.round (explore *. float_of_int k))) in
     let selected = Prng.sample_without_replacement g count (Array.init k Fun.id) in
@@ -175,15 +145,15 @@ let attack_multi ?config ?(batch = Oppsla.Sketch.default_batch)
       selected;
     Array.to_list next
   in
-  search ~config ~batch ~goal
+  search ~config ~goal
     ~key:(Oppsla.Space.set_key ~d2)
     ~materialize:(perturb_set image)
     ~pairs_of:Fun.id
     ~initial:(fun g -> Oppsla.Gen.random_pixel_set gen g ~k)
     ~propose g oracle ~true_class
 
-let attack_patch ?config ?(batch = Oppsla.Sketch.default_batch)
-    ?(goal = Oppsla.Sketch.Untargeted) ~h ~w g oracle ~image ~true_class =
+let attack_patch ?config ?(goal = Oppsla.Sketch.Untargeted) ~h ~w g oracle
+    ~image ~true_class =
   let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
   if h < 1 || w < 1 || h > d1 || w > d2 then
     invalid_arg
@@ -199,7 +169,7 @@ let attack_patch ?config ?(batch = Oppsla.Sketch.default_batch)
   (* Patch state is (anchor, fill corner).  Exploration re-anchors the
      patch globally; exploitation keeps the anchor and resamples only
      the corner (skipping the current one, as in the pixel kernel). *)
-  let propose ~g ~spent (anchor, corner) =
+  let propose ~spent (anchor, corner) =
     let explore = explore_probability config spent in
     if Prng.uniform g < explore then Oppsla.Gen.random_patch gen g ~h ~w
     else begin
@@ -207,7 +177,7 @@ let attack_patch ?config ?(batch = Oppsla.Sketch.default_batch)
       (anchor, if c >= corner then c + 1 else c)
     end
   in
-  search ~config ~batch ~goal
+  search ~config ~goal
     ~key:(fun (anchor, corner) -> Oppsla.Space.patch_key ~anchor ~h ~w ~corner)
     ~materialize:(fun (anchor, corner) ->
       Oppsla.Space.perturb_patch image ~anchor ~h ~w ~corner)
@@ -218,7 +188,7 @@ let attack_patch ?config ?(batch = Oppsla.Sketch.default_batch)
     ~initial:(fun g -> Oppsla.Gen.random_patch gen g ~h ~w)
     ~propose g oracle ~true_class
 
-let attack_space ?config ?batch ?goal ~space g oracle ~image ~true_class =
+let attack_space ?config ?goal ~space g oracle ~image ~true_class =
   (* One dimensional series per search space — cardinality is bounded by
      the space grammar (pixel, kpixel:k, patch:hxw actually used). *)
   Telemetry.Counter.incr
@@ -226,13 +196,13 @@ let attack_space ?config ?batch ?goal ~space g oracle ~image ~true_class =
        ~labels:[ ("space", Oppsla.Space.to_string space) ]
        "baseline.sparse_rs.attacks");
   match (space : Oppsla.Space.t) with
-  | Pixel -> attack_multi ?config ?batch ?goal ~k:1 g oracle ~image ~true_class
-  | Kpixel k -> attack_multi ?config ?batch ?goal ~k g oracle ~image ~true_class
+  | Pixel -> attack_multi ?config ?goal ~k:1 g oracle ~image ~true_class
+  | Kpixel k -> attack_multi ?config ?goal ~k g oracle ~image ~true_class
   | Patch { h; w } ->
-      attack_patch ?config ?batch ?goal ~h ~w g oracle ~image ~true_class
+      attack_patch ?config ?goal ~h ~w g oracle ~image ~true_class
 
-let attack ?config ?batch ?goal g oracle ~image ~true_class =
-  let r = attack_multi ?config ?batch ?goal ~k:1 g oracle ~image ~true_class in
+let attack ?config ?goal g oracle ~image ~true_class =
+  let r = attack_multi ?config ?goal ~k:1 g oracle ~image ~true_class in
   {
     Oppsla.Sketch.adversarial =
       Option.map

@@ -38,7 +38,6 @@ val default_config : max_queries:int -> config
 
 val attack :
   ?config:config ->
-  ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->
   Prng.t ->
   Oracle.t ->
@@ -55,15 +54,7 @@ val attack :
     corner key space ({!Oppsla.Sketch.cache_key}), so hits carry across
     attackers on the same image; k > 1 sets key on the sorted pair-id
     list.  Metering stays above the cache — queries and outcomes are
-    bit-identical either way.
-
-    [batch] (default {!Oppsla.Sketch.default_batch}) is the speculative
-    chunk width: future proposals are pre-generated from a {!Prng.copy}
-    clone of the PRNG under the assumption that pending proposals are
-    rejected, and evaluated in one batched forward pass ({!Batcher}).
-    The real PRNG stream only advances when a proposal is actually
-    generated, so draws, query counts and outcomes are bit-identical at
-    every width. *)
+    bit-identical either way. *)
 
 (** {1 Few-pixel attacks}
 
@@ -82,7 +73,6 @@ type multi_result = {
 
 val attack_multi :
   ?config:config ->
-  ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->
   k:int ->
   Prng.t ->
@@ -95,7 +85,6 @@ val attack_multi :
 
 val attack_patch :
   ?config:config ->
-  ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->
   h:int ->
   w:int ->
@@ -116,7 +105,6 @@ val attack_patch :
 
 val attack_space :
   ?config:config ->
-  ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->
   space:Oppsla.Space.t ->
   Prng.t ->

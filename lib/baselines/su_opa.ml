@@ -39,8 +39,8 @@ let nearest_corner_pair ~row ~col cand =
   let corner = (bit cand.(2) * 4) + (bit cand.(3) * 2) + bit cand.(4) in
   Oppsla.Pair.make ~loc:(Oppsla.Location.make ~row ~col) ~corner
 
-let attack ?config ?(batch = Oppsla.Sketch.default_batch)
-    ?(goal = Oppsla.Sketch.Untargeted) g oracle ~image ~true_class =
+let attack ?config ?(goal = Oppsla.Sketch.Untargeted) g oracle ~image
+    ~true_class =
   let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
   let config =
     match config with
@@ -50,7 +50,7 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
   if config.population < 4 then
     invalid_arg "Su_opa.attack: population must be at least 4 for DE/rand/1";
   let spent = ref 0 in
-  let batcher = Batcher.create ~width:batch oracle in
+  let batcher = Batcher.create oracle in
   let candidate_of cand =
     let row, col = pixel_of image cand in
     {
@@ -71,10 +71,10 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
      label-only oracle the fitness degenerates to the flip indicator and
      DE selection stops discriminating — the honest decision-based
      degradation (success detection is argmax-based, hence unchanged). *)
-  let fitness ?speculate cand =
+  let fitness cand =
     if !spent >= config.max_queries then finish ();
     let scores =
-      try Oracle.observe oracle (Batcher.query batcher ?speculate (candidate_of cand))
+      try Oracle.observe oracle (Batcher.query batcher (candidate_of cand))
       with Oracle.Budget_exhausted _ -> finish ()
     in
     incr spent;
@@ -91,11 +91,6 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
     | Oppsla.Sketch.Untargeted -> Tensor.get_flat scores true_class
     | Oppsla.Sketch.Targeted target -> -.Tensor.get_flat scores target
   in
-  (* Cap speculation at the local query budget: the [i]-th future
-     candidate is only consumable while [spent + 1 + i < max_queries]. *)
-  let within_budget i k =
-    if i >= config.max_queries - !spent - 1 then None else k ()
-  in
   let random_candidate () =
     [|
       Prng.float g (float_of_int d1);
@@ -105,10 +100,8 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
       clamp 0. 1. (Prng.normal g ~mu:0.5 ~sigma:0.3 ());
     |]
   in
-  (* DE/rand/1 mutation for slot [i], drawing from an explicit PRNG so
-     speculation can run it on a {!Prng.copy} clone without advancing the
-     real stream. *)
-  let gen_mutant ~g i =
+  (* DE/rand/1 mutation for slot [i]: three distinct donors, none [i]. *)
+  let gen_mutant i =
     let pick () =
       let rec draw () =
         let j = Prng.int g config.population in
@@ -136,22 +129,8 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
   Telemetry.Journal.with_default_site "baseline/su_opa" @@ fun () ->
   Telemetry.Watchdog.with_loop wd @@ fun () ->
   try
-    (* The initial population is drawn before any query, so its fitness
-       sweep is fully speculable: while evaluating member [i] the batcher
-       may prepare members [i+1 ...] directly from the array. *)
     let pop = Array.init config.population (fun _ -> random_candidate ()) in
-    let fit =
-      Array.mapi
-        (fun i cand ->
-          let speculate j =
-            within_budget j (fun () ->
-                if i + 1 + j < config.population then
-                  Some (candidate_of pop.(i + 1 + j))
-                else None)
-          in
-          fitness ~speculate cand)
-        pop
-    in
+    let fit = Array.map fitness pop in
     check_batch ();
     let build_mutant (r1, r2, r3) =
       let mutant =
@@ -167,29 +146,8 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
     in
     while true do
       for i = 0 to config.population - 1 do
-        let mutant = build_mutant (gen_mutant ~g i) in
-        (* Speculate the rest of the generation assuming every pending
-           mutant is rejected (population unchanged): draws come from a
-           PRNG clone, so the real stream only advances when the real
-           mutant is generated.  An acceptance diverges the key stream
-           and the batcher rebuilds from true state. *)
-        let spec_g = ref None in
-        let speculate j =
-          within_budget j (fun () ->
-              if i + 1 + j < config.population then begin
-                let g' =
-                  match !spec_g with
-                  | Some g' -> g'
-                  | None ->
-                      let g' = Prng.copy g in
-                      spec_g := Some g';
-                      g'
-                in
-                Some (candidate_of (build_mutant (gen_mutant ~g:g' (i + 1 + j))))
-              end
-              else None)
-        in
-        let mf = fitness ~speculate mutant in
+        let mutant = build_mutant (gen_mutant i) in
+        let mf = fitness mutant in
         if mf <= fit.(i) then begin
           pop.(i) <- mutant;
           fit.(i) <- mf

@@ -25,7 +25,6 @@ val default_config : max_queries:int -> config
 
 val attack :
   ?config:config ->
-  ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->
   Prng.t ->
   Oracle.t ->
@@ -45,11 +44,4 @@ val attack :
     ["rgb:row,col,..."] keys — DE revisits candidates often enough (elites
     survive generations unchanged) for this to pay off, and metering stays
     above the cache so queries and the outcome are bit-identical either
-    way.
-
-    [batch] (default {!Oppsla.Sketch.default_batch}) is the speculative
-    chunk width ({!Batcher}).  The initial population's fitness sweep is
-    fully batchable (the candidates exist before any query); generation
-    mutants are speculated from a {!Prng.copy} clone assuming rejection,
-    so the real draw stream — and every count and outcome — stays
-    bit-identical at every width. *)
+    way. *)

@@ -5,7 +5,6 @@ type t = {
     Oracle.t ->
     goal:Oppsla.Sketch.goal ->
     max_queries:int ->
-    batch:int ->
     image:Tensor.t ->
     true_class:int ->
     Oppsla.Sketch.result;
@@ -15,12 +14,12 @@ let oppsla ~programs =
   {
     name = "OPPSLA";
     run =
-      (fun _g oracle ~goal ~max_queries ~batch ~image ~true_class ->
+      (fun _g oracle ~goal ~max_queries ~image ~true_class ->
         if true_class < 0 || true_class >= Array.length programs then
           invalid_arg
             (Printf.sprintf "Attackers.oppsla: no program for class %d"
                true_class);
-        Oppsla.Sketch.attack ~max_queries ~goal ~batch oracle
+        Oppsla.Sketch.attack ~max_queries ~goal oracle
           programs.(true_class) ~image ~true_class);
   }
 
@@ -28,8 +27,8 @@ let oppsla_single program =
   {
     name = "OPPSLA(single)";
     run =
-      (fun _g oracle ~goal ~max_queries ~batch ~image ~true_class ->
-        Oppsla.Sketch.attack ~max_queries ~goal ~batch oracle program ~image
+      (fun _g oracle ~goal ~max_queries ~image ~true_class ->
+        Oppsla.Sketch.attack ~max_queries ~goal oracle program ~image
           ~true_class);
   }
 
@@ -37,8 +36,8 @@ let sketch_false =
   {
     name = "Sketch+False";
     run =
-      (fun _g oracle ~goal ~max_queries ~batch ~image ~true_class ->
-        Baselines.Fixed.attack ~max_queries ~goal ~batch oracle ~image
+      (fun _g oracle ~goal ~max_queries ~image ~true_class ->
+        Baselines.Fixed.attack ~max_queries ~goal oracle ~image
           ~true_class);
   }
 
@@ -46,9 +45,9 @@ let sparse_rs =
   {
     name = "Sparse-RS";
     run =
-      (fun g oracle ~goal ~max_queries ~batch ~image ~true_class ->
+      (fun g oracle ~goal ~max_queries ~image ~true_class ->
         let config = Baselines.Sparse_rs.default_config ~max_queries in
-        Baselines.Sparse_rs.attack ~config ~batch ~goal g oracle ~image
+        Baselines.Sparse_rs.attack ~config ~goal g oracle ~image
           ~true_class);
   }
 
@@ -60,10 +59,10 @@ let sparse_rs_space space =
   {
     name = Printf.sprintf "Sparse-RS(%s)" (Oppsla.Space.to_string space);
     run =
-      (fun g oracle ~goal ~max_queries ~batch ~image ~true_class ->
+      (fun g oracle ~goal ~max_queries ~image ~true_class ->
         let config = Baselines.Sparse_rs.default_config ~max_queries in
         let r =
-          Baselines.Sparse_rs.attack_space ~config ~batch ~goal ~space g
+          Baselines.Sparse_rs.attack_space ~config ~goal ~space g
             oracle ~image ~true_class
         in
         {
@@ -79,11 +78,11 @@ let su_opa ?(population = 400) () =
   {
     name = "SuOPA";
     run =
-      (fun g oracle ~goal ~max_queries ~batch ~image ~true_class ->
+      (fun g oracle ~goal ~max_queries ~image ~true_class ->
         let config =
           { (Baselines.Su_opa.default_config ~max_queries) with population }
         in
-        Baselines.Su_opa.attack ~config ~batch ~goal g oracle ~image
+        Baselines.Su_opa.attack ~config ~goal g oracle ~image
           ~true_class);
   }
 
@@ -95,13 +94,12 @@ let decision t =
   {
     name = t.name ^ "/decision";
     run =
-      (fun g oracle ~goal ~max_queries ~batch ~image ~true_class ->
+      (fun g oracle ~goal ~max_queries ~image ~true_class ->
         Oracle.set_mode oracle Oracle.Decision;
-        t.run g oracle ~goal ~max_queries ~batch ~image ~true_class);
+        t.run g oracle ~goal ~max_queries ~image ~true_class);
   }
 
-let run_one ?(batch = Oppsla.Sketch.default_batch)
-    ?(goal = Oppsla.Sketch.Untargeted) t ~seed ~oracle_factory ~max_queries
-    ~image ~true_class =
+let run_one ?(goal = Oppsla.Sketch.Untargeted) t ~seed ~oracle_factory
+    ~max_queries ~image ~true_class =
   let g = Prng.named_stream (Prng.of_int seed) ("attack/" ^ t.name) in
-  t.run g (oracle_factory ()) ~goal ~max_queries ~batch ~image ~true_class
+  t.run g (oracle_factory ()) ~goal ~max_queries ~image ~true_class

@@ -2,10 +2,7 @@
 
     An attacker takes a fresh per-image RNG and oracle and produces a
     {!Oppsla.Sketch.result}.  Deterministic attacks (the sketch family)
-    ignore the RNG.  [batch] is the speculative candidate chunk width
-    every attack forwards to its {!Batcher}; results are bit-identical at
-    every width (only wall-clock changes), so it is an engine knob, not
-    an experiment parameter.  [goal] is the attack goal every attack
+    ignore the RNG.  [goal] is the attack goal every attack
     threads through to its success predicate
     ({!Oppsla.Sketch.goal_reached}); untargeted unless the experiment
     says otherwise. *)
@@ -17,7 +14,6 @@ type t = {
     Oracle.t ->
     goal:Oppsla.Sketch.goal ->
     max_queries:int ->
-    batch:int ->
     image:Tensor.t ->
     true_class:int ->
     Oppsla.Sketch.result;
@@ -52,7 +48,6 @@ val decision : t -> t
     unchanged by construction — only what the attack can see. *)
 
 val run_one :
-  ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->
   t ->
   seed:int ->
@@ -62,5 +57,5 @@ val run_one :
   true_class:int ->
   Oppsla.Sketch.result
 (** Run an attacker on one image with a seed derived from [seed] (so
-    randomized attacks are reproducible image-by-image).  [batch]
-    defaults to {!Oppsla.Sketch.default_batch}; [goal] to [Untargeted]. *)
+    randomized attacks are reproducible image-by-image).  [goal]
+    defaults to [Untargeted]. *)

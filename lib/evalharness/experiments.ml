@@ -1,7 +1,6 @@
 type scale = {
   domains : int option;
   cache : bool;
-  batch : int;
   budgets : int list;
   max_queries_cifar : int;
   max_queries_imagenet : int;
@@ -20,7 +19,6 @@ let default_scale =
   {
     domains = None;
     cache = true;
-    batch = Oppsla.Sketch.default_batch;
     budgets = [ 50; 200 ];
     (* Full corner space for the CIFAR regime: below the full space the
        per-program success sets diverge and "average queries over
@@ -48,7 +46,6 @@ let quick_scale =
   {
     domains = None;
     cache = true;
-    batch = Oppsla.Sketch.default_batch;
     budgets = [ 25; 50 ];
     max_queries_cifar = 256;
     max_queries_imagenet = 256;
@@ -102,10 +99,7 @@ let with_experiment_pool scale (config : Workbench.config) name f =
            (Telemetry.Fmt.f1 s.Domain_pool.Pool.busy_seconds));
       result)
 
-(* [scale.batch] is the run's single batching knob: it overrides the
-   synth params' own width so synthesis and attack phases agree. *)
 let attackers_for scale synth_params c config pool =
-  let synth_params = { synth_params with Workbench.batch = scale.batch } in
   let programs =
     Workbench.synthesize_programs ~params:synth_params ~pool config c
   in
@@ -136,7 +130,6 @@ let fig3_for_classifier scale config synth_params max_queries pool
     (c : Workbench.classifier) =
   let caches = attack_caches scale c in
   let attackers = attackers_for scale synth_params c config pool in
-  Batcher.reset_global_stats ();
   let rows =
     List.map
       (fun attacker ->
@@ -145,7 +138,7 @@ let fig3_for_classifier scale config synth_params max_queries pool
              attacker.Attackers.name c.Workbench.arch
              (Array.length c.Workbench.test));
         let records =
-          Runner.run ~pool ?caches ~batch:scale.batch ~seed:scale.attack_seed
+          Runner.run ~pool ?caches ~seed:scale.attack_seed
             ~max_queries attacker
             ~oracle_factory:(Workbench.oracle_factory c)
             c.Workbench.test
@@ -171,9 +164,6 @@ let fig3_for_classifier scale config synth_params max_queries pool
   Workbench.log_cache_stats config
     (Printf.sprintf "fig3 %s" c.Workbench.arch)
     caches;
-  Workbench.log_batch_stats config
-    (Printf.sprintf "fig3 %s" c.Workbench.arch)
-    (Batcher.global_stats ());
   rows
 
 let fig3_cifar ?(scale = default_scale) config =
@@ -204,10 +194,9 @@ type table1 = {
 let table1 ?(scale = default_scale) config =
   with_experiment_pool scale config "table1" (fun pool ->
       let suite = Array.of_list (Workbench.cifar_suite config) in
-      let synth_params = { scale.synth with Workbench.batch = scale.batch } in
       let programs =
         Array.map
-          (Workbench.synthesize_programs ~params:synth_params ~pool config)
+          (Workbench.synthesize_programs ~params:scale.synth ~pool config)
           suite
       in
       let n = Array.length suite in
@@ -217,7 +206,6 @@ let table1 ?(scale = default_scale) config =
                programs: every OPPSLA run explores the same corner space
                on the same images, so cross-source hit rates are high. *)
             let caches = attack_caches scale suite.(target) in
-            Batcher.reset_global_stats ();
             let row =
               Array.init n (fun source ->
                   config.Workbench.log
@@ -228,7 +216,7 @@ let table1 ?(scale = default_scale) config =
                     Attackers.oppsla ~programs:programs.(source)
                   in
                   let records =
-                    Runner.run ~pool ?caches ~batch:scale.batch
+                    Runner.run ~pool ?caches
                       ~seed:scale.attack_seed
                       ~max_queries:scale.max_queries_cifar attacker
                       ~oracle_factory:(Workbench.oracle_factory suite.(target))
@@ -239,9 +227,6 @@ let table1 ?(scale = default_scale) config =
             Workbench.log_cache_stats config
               (Printf.sprintf "table1 target %s" suite.(target).Workbench.arch)
               caches;
-            Workbench.log_batch_stats config
-              (Printf.sprintf "table1 target %s" suite.(target).Workbench.arch)
-              (Batcher.global_stats ());
             row)
       in
       {
@@ -288,7 +273,7 @@ let fig4 ?(scale = default_scale) config =
   let evaluate_on_heldout program =
     let e =
       Workbench.parallel_evaluator ~pool ?caches:heldout_caches
-        ~max_queries:scale.max_queries_cifar ~batch:scale.batch c program
+        ~max_queries:scale.max_queries_cifar c program
         heldout
     in
     e.Oppsla.Score.avg_queries
@@ -300,7 +285,6 @@ let fig4 ?(scale = default_scale) config =
       max_iters = scale.fig4_iters;
       max_queries_per_image =
         Some scale.synth.Workbench.synth_max_queries_per_image;
-      batch = scale.batch;
     }
   in
   let g =
@@ -312,7 +296,6 @@ let fig4 ?(scale = default_scale) config =
     if scale.cache then Some (Score_cache.store (Array.length training))
     else None
   in
-  Batcher.reset_global_stats ();
   let out =
     Oppsla.Synthesizer.synthesize ~config:synth_config ~pool ?caches:synth_caches
       g
@@ -343,7 +326,6 @@ let fig4 ?(scale = default_scale) config =
   in
   Workbench.log_cache_stats config "fig4 synthesis" synth_caches;
   Workbench.log_cache_stats config "fig4 held-out" heldout_caches;
-  Workbench.log_batch_stats config "fig4" (Batcher.global_stats ());
   result
 
 (* Table 2 *)
@@ -368,7 +350,7 @@ let table2 ?(scale = default_scale) config =
         config.Workbench.log
           (Printf.sprintf "[table2] %s vs %s" attacker.Attackers.name
              c.Workbench.arch);
-        Runner.run ~pool ?caches ~batch:scale.batch ~seed:scale.attack_seed
+        Runner.run ~pool ?caches ~seed:scale.attack_seed
           ~max_queries:scale.max_queries_cifar attacker
           ~oracle_factory:(Workbench.oracle_factory c)
           c.Workbench.test
@@ -383,17 +365,14 @@ let table2 ?(scale = default_scale) config =
         }
       in
       let oppsla_programs =
-        Workbench.synthesize_programs
-          ~params:{ scale.synth with Workbench.batch = scale.batch }
-          ~pool config c
+        Workbench.synthesize_programs ~params:scale.synth ~pool config c
       in
       let random_programs =
         Workbench.sketch_random_programs ~samples:scale.random_samples
           ~max_queries_per_image:
             scale.synth.Workbench.synth_max_queries_per_image
-          ~cache:scale.synth.Workbench.cache ~batch:scale.batch ~pool config c
+          ~cache:scale.synth.Workbench.cache ~pool config c
       in
-      Batcher.reset_global_stats ();
       let rows =
         [
           row "OPPSLA" (run (Attackers.oppsla ~programs:oppsla_programs));
@@ -406,9 +385,6 @@ let table2 ?(scale = default_scale) config =
       Workbench.log_cache_stats config
         (Printf.sprintf "table2 %s" c.Workbench.arch)
         caches;
-      Workbench.log_batch_stats config
-        (Printf.sprintf "table2 %s" c.Workbench.arch)
-        (Batcher.global_stats ());
       rows)
     suite
 
@@ -444,7 +420,6 @@ let targeted ?(scale = default_scale) config =
         if scale.cache then Some (Score_cache.store (Array.length samples))
         else None
       in
-      Batcher.reset_global_stats ();
       let rows =
         List.map
           (fun attacker ->
@@ -452,7 +427,7 @@ let targeted ?(scale = default_scale) config =
               (Printf.sprintf "[targeted] %s -> class %d (%d images)"
                  attacker.Attackers.name target (Array.length samples));
             let records =
-              Runner.run ~pool ?caches ~batch:scale.batch
+              Runner.run ~pool ?caches
                 ~goal:(Oppsla.Sketch.Targeted target) ~seed:scale.attack_seed
                 ~max_queries attacker
                 ~oracle_factory:(Workbench.oracle_factory c)
@@ -480,8 +455,5 @@ let targeted ?(scale = default_scale) config =
       Workbench.log_cache_stats config
         (Printf.sprintf "targeted class %d" target)
         caches;
-      Workbench.log_batch_stats config
-        (Printf.sprintf "targeted class %d" target)
-        (Batcher.global_stats ());
       rows)
     (List.init classes Fun.id)

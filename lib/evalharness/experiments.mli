@@ -19,12 +19,6 @@ type scale = {
           cache — it only cuts forward passes.  Synthesis-phase caching is
           governed separately by [synth.cache] /
           [imagenet_synth.cache]. *)
-  batch : int;
-      (** speculative candidate chunk width for every attack (synthesis
-          and attack phases alike; overrides [synth.batch]).  Like
-          [domains] and [cache] this never changes results — the
-          {!Batcher} meters at consumption — it only batches forward
-          passes.  Default {!Oppsla.Sketch.default_batch}. *)
   budgets : int list;  (** reporting budgets for Figure 3 *)
   max_queries_cifar : int;  (** attack allowance, CIFAR regime *)
   max_queries_imagenet : int;  (** attack allowance, ImageNet regime *)

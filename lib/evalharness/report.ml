@@ -140,43 +140,6 @@ let render_cache_stats (s : Score_cache.stats) =
           ];
         ]
 
-let render_batch_stats (s : Batcher.stats) =
-  let specs = s.Batcher.buffer_hits + s.Batcher.discarded in
-  let accuracy =
-    if specs = 0 then "-"
-    else percent (float_of_int s.Batcher.buffer_hits /. float_of_int specs)
-  in
-  let avg_chunk =
-    if s.Batcher.batches = 0 then "-"
-    else
-      Telemetry.Fmt.f1
-        (float_of_int s.Batcher.prepared /. float_of_int s.Batcher.batches)
-  in
-  "Speculative batching\n"
-  ^ table
-      ~headers:
-        [
-          "queries";
-          "chunks";
-          "prepared";
-          "avg chunk";
-          "buffer hits";
-          "discarded";
-          "speculation accuracy";
-        ]
-      ~rows:
-        [
-          [
-            string_of_int s.Batcher.queries;
-            string_of_int s.Batcher.batches;
-            string_of_int s.Batcher.prepared;
-            avg_chunk;
-            string_of_int s.Batcher.buffer_hits;
-            string_of_int s.Batcher.discarded;
-            accuracy;
-          ];
-        ]
-
 (* Per-backend tensor-engine summary, from the registry counters every
    backend maintains ({!Tensor_sig.Stats}): one row per backend that
    actually ran a GEMM this process.  MFLOP/s is nominal multiply-add
@@ -356,18 +319,17 @@ let render_profiler () =
             ~rows)
 
 (* Consolidated run-telemetry section.  Sub-tables always appear in the
-   same order (pool, cache, batch, quantiles, watchdog, sampler,
+   same order (pool, cache, backend, quantiles, watchdog, sampler,
    profiler) regardless of argument order at the call site, so reports
    from different runs line up when diffed.  Returns "" when there is
    nothing to report — callers print nothing rather than a dangling
    header for runs with no instrumentation active. *)
-let render_telemetry ?pool ?cache ?batch () =
+let render_telemetry ?pool ?cache () =
   let sections =
     List.filter_map Fun.id
       [
         Option.map render_pool_stats pool;
         Option.map render_cache_stats cache;
-        Option.map render_batch_stats batch;
         render_backend ();
         render_attack_quantiles ();
         render_watchdog ();

@@ -33,12 +33,6 @@ val render_cache_stats : Score_cache.stats -> string
     {!Score_cache.stats} or a store-wide {!Score_cache.store_stats}
     aggregate. *)
 
-val render_batch_stats : Batcher.stats -> string
-(** One-row table of the speculative batcher's counters: metered queries,
-    chunks resolved, candidates prepared per chunk, buffer hits vs
-    discarded speculations, and the resulting speculation accuracy.
-    Rendered next to the cache and pool statistics in run reports. *)
-
 val render_backend : unit -> string option
 (** "Tensor backends" table from the registry counters every backend
     engine maintains ([backend.<name>.*]): one row per backend that ran
@@ -57,12 +51,11 @@ val render_islands : Oppsla.Islands.outcome -> string
 val render_telemetry :
   ?pool:Domain_pool.Pool.stats ->
   ?cache:Score_cache.stats ->
-  ?batch:Batcher.stats ->
   unit ->
   string
 (** One consolidated "Telemetry" section stacking whichever sub-tables
     were passed plus registry-derived summaries, always in pool → cache
-    → batch → backend → attack quantiles → watchdog → sampler order so reports
+    → backend → attack quantiles → watchdog → sampler order so reports
     diff cleanly across runs.  The attack-quantile line
     (bucket-interpolated p50/p90/p99 queries-to-success) appears once
     an attack has succeeded, the watchdog table once an instrumented

@@ -1,8 +1,7 @@
 type record = { true_class : int; success : bool; queries : int }
 
-let run ?domains ?pool ?caches ?(batch = Oppsla.Sketch.default_batch)
-    ?(goal = Oppsla.Sketch.Untargeted) ~seed ~max_queries
-    (attacker : Attackers.t) ~oracle_factory samples =
+let run ?domains ?pool ?caches ?(goal = Oppsla.Sketch.Untargeted) ~seed
+    ~max_queries (attacker : Attackers.t) ~oracle_factory samples =
   (match caches with
   | Some store when Score_cache.store_size store <> Array.length samples ->
       invalid_arg
@@ -32,8 +31,7 @@ let run ?domains ?pool ?caches ?(batch = Oppsla.Sketch.default_batch)
         Oracle.set_cache oracle (Some (Score_cache.image_cache store i))
     | None -> ());
     let r =
-      attacker.Attackers.run g oracle ~goal ~max_queries ~batch ~image
-        ~true_class
+      attacker.Attackers.run g oracle ~goal ~max_queries ~image ~true_class
     in
     {
       true_class;

@@ -18,7 +18,6 @@ val run :
   ?domains:int ->
   ?pool:Domain_pool.Pool.t ->
   ?caches:Score_cache.store ->
-  ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->
   seed:int ->
   max_queries:int ->
@@ -45,12 +44,7 @@ val run :
     same} store to several [run] calls over the same samples (as the
     experiments do across attackers on one classifier) lets later
     attackers hit scores the earlier ones already computed.  Raises
-    [Invalid_argument] on a store/sample size mismatch.
-
-    [batch] (default {!Oppsla.Sketch.default_batch}) is the speculative
-    candidate chunk width handed to every attack; records are
-    bit-identical at every width, so like [caches] and the pool it only
-    moves wall-clock. *)
+    [Invalid_argument] on a store/sample size mismatch. *)
 
 val success_rate_at : record array -> int -> float
 (** Fraction of images whose attack succeeded within the given budget. *)

@@ -188,11 +188,10 @@ let targeted_samples c ~target =
   Array.of_list
     (List.filter (fun (_, cl) -> cl <> target) (Array.to_list c.test))
 
-let parallel_evaluator ?domains ?pool ?caches ?max_queries ?batch c program
-    samples =
+let parallel_evaluator ?domains ?pool ?caches ?max_queries c program samples =
   match pool with
   | Some pool ->
-      Oppsla.Score.evaluate_parallel ?max_queries ?caches ?batch ~pool
+      Oppsla.Score.evaluate_parallel ?max_queries ?caches ~pool
         (Oracle.of_network c.net) program samples
   | None ->
       (match caches with
@@ -212,8 +211,8 @@ let parallel_evaluator ?domains ?pool ?caches ?max_queries ?batch c program
              let cache =
                Option.map (fun s -> Score_cache.image_cache s i) caches
              in
-             Oppsla.Sketch.attack ?max_queries ?cache ?batch oracle program
-               ~image ~true_class)
+             Oppsla.Sketch.attack ?max_queries ?cache oracle program ~image
+               ~true_class)
            (Array.mapi (fun i s -> (i, s)) samples))
 
 type synth_params = {
@@ -232,7 +231,7 @@ let default_synth_params =
     synth_max_queries_per_image = 1024;
     domains = None;
     cache = true;
-    batch = Oppsla.Sketch.default_batch;
+    batch = 1;
   }
 
 (* Workbench log lines render floats through [Telemetry.Fmt], the same
@@ -250,24 +249,6 @@ let log_cache_stats config label = function
            (Telemetry.Fmt.percent hit_rate)
            s.Score_cache.entries
            (Telemetry.Fmt.mb s.Score_cache.bytes))
-
-(* The batcher's counters are global, so callers bracket the run:
-   [Batcher.reset_global_stats] before, [log_batch_stats] after. *)
-let log_batch_stats config label (s : Batcher.stats) =
-  if s.Batcher.queries > 0 then begin
-    let specs = s.Batcher.buffer_hits + s.Batcher.discarded in
-    let hit_rate =
-      if specs = 0 then 0.
-      else float_of_int s.Batcher.buffer_hits /. float_of_int specs
-    in
-    config.log
-      (Printf.sprintf
-         "[workbench] %s batch: %d queries in %d chunks (%d prepared, %d \
-          buffer hits, %d discarded, %s speculation accuracy)"
-         label s.Batcher.queries s.Batcher.batches s.Batcher.prepared
-         s.Batcher.buffer_hits s.Batcher.discarded
-         (Telemetry.Fmt.percent hit_rate))
-  end
 
 (* Program caches: one line per class, in the DSL concrete syntax. *)
 
@@ -376,7 +357,6 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
                 Some (Score_cache.store (Array.length training))
               else None
             in
-            Batcher.reset_global_stats ();
             let out =
               Oppsla.Synthesizer.synthesize ~config:synth_config ~pool
                 ?caches g (oracle_factory c ()) ~training
@@ -385,10 +365,6 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
               (Printf.sprintf "synth %s/%s class %d" c.spec.name c.arch
                  class_id)
               caches;
-            log_batch_stats config
-              (Printf.sprintf "synth %s/%s class %d" c.spec.name c.arch
-                 class_id)
-              (Batcher.global_stats ());
             (* No attackable training image within the cap means every
                candidate scored the same penalty and the MH chain is a
                random walk: its final program carries no signal, so fall
@@ -417,7 +393,7 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
           end))
 
 let sketch_random_programs ?(samples = 210) ?(max_queries_per_image = 1024)
-    ?(cache = true) ?batch ?pool config c =
+    ?(cache = true) ?pool config c =
   let file =
     Printf.sprintf "%s_%s_s%d_random_k%d_q%d_n%d.programs" c.spec.name c.arch
       config.seed samples max_queries_per_image config.synth_per_class
@@ -445,7 +421,7 @@ let sketch_random_programs ?(samples = 210) ?(max_queries_per_image = 1024)
               Baselines.Random_search.synthesize ~samples
                 ~evaluator:
                   (parallel_evaluator ~pool ?caches
-                     ~max_queries:max_queries_per_image ?batch c)
+                     ~max_queries:max_queries_per_image c)
                 g (oracle_factory c ()) ~training
             in
             log_cache_stats config

@@ -75,7 +75,6 @@ val parallel_evaluator :
   ?pool:Domain_pool.Pool.t ->
   ?caches:Score_cache.store ->
   ?max_queries:int ->
-  ?batch:int ->
   classifier ->
   Oppsla.Condition.program ->
   (Tensor.t * int) array ->
@@ -88,9 +87,7 @@ val parallel_evaluator :
 
     [caches] follows the {!Oppsla.Score.evaluate} contract — slot [i]
     memoizes sample [i], safe under parallelism because each image (and
-    hence its slot) is held by one domain at a time.  [batch] is the
-    speculative chunk width of each per-image attack (default
-    {!Oppsla.Sketch.default_batch}); bit-identical at every width. *)
+    hence its slot) is held by one domain at a time. *)
 
 type synth_params = {
   iters : int;
@@ -101,27 +98,20 @@ type synth_params = {
       (** memoize perturbation scores per training image across MH
           proposals; bit-identical results either way (default [true]) *)
   batch : int;
-      (** speculative candidate chunk width of every synthesis attack
-          (default {!Oppsla.Sketch.default_batch}); bit-identical traces
-          at every width *)
+      (** kept only for [e2ebench/] (default 1): forwarded to
+          {!Oppsla.Synthesizer.config.batch}, which rejects values below
+          1 and ignores every other value *)
 }
 
 val default_synth_params : synth_params
 (** 40 iterations, beta 0.02, 1024-query cap per synthesis attack,
-    cache on, batch {!Oppsla.Sketch.default_batch}. *)
+    cache on. *)
 
 val log_cache_stats : config -> string -> Score_cache.store option -> unit
 (** [log_cache_stats config label store] writes the store's aggregated
     hit/miss/footprint line to [config.log] ([None] logs nothing) — the
     one-line form of {!Report.render_cache_stats}, used after each
     synthesis run and attack sweep. *)
-
-val log_batch_stats : config -> string -> Batcher.stats -> unit
-(** One-line speculative-batching summary (chunks, buffer hits,
-    mis-speculations) to [config.log]; silent when no queries were posed.
-    The batcher's counters are global, so callers bracket the measured
-    region with {!Batcher.reset_global_stats} and
-    {!Batcher.global_stats}. *)
 
 val synthesize_programs :
   ?params:synth_params ->
@@ -140,7 +130,6 @@ val sketch_random_programs :
   ?samples:int ->
   ?max_queries_per_image:int ->
   ?cache:bool ->
-  ?batch:int ->
   ?pool:Domain_pool.Pool.t ->
   config ->
   classifier ->

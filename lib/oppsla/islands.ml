@@ -78,7 +78,6 @@ type config = {
   goal : Sketch.goal;
   max_queries_per_image : int option;
   max_synth_queries : int option;
-  batch : int;
   early_stop : Score.pac option;
   checkpoint : string option;
   checkpoint_every : int;
@@ -95,7 +94,6 @@ let default_config =
     goal = Sketch.Untargeted;
     max_queries_per_image = None;
     max_synth_queries = None;
-    batch = Sketch.default_batch;
     early_stop = None;
     checkpoint = None;
     checkpoint_every = 10;
@@ -556,12 +554,10 @@ let synthesize ?(config = default_config) ?pool ?caches ?(resume = false) g
     match pool with
     | Some pool ->
         Score.evaluate_parallel ?max_queries:config.max_queries_per_image
-          ~goal:config.goal ?caches ~batch:config.batch ~pool oracle program
-          training
+          ~goal:config.goal ?caches ~pool oracle program training
     | None ->
         Score.evaluate ?max_queries:config.max_queries_per_image
-          ~goal:config.goal ?caches ~batch:config.batch oracle program
-          training
+          ~goal:config.goal ?caches oracle program training
   in
   let fresh_island k =
     {
@@ -635,7 +631,7 @@ let synthesize ?(config = default_config) ?pool ?caches ?(resume = false) g
           let order = Prng.permutation st.es n in
           match
             Score.evaluate_pac ?max_queries:config.max_queries_per_image
-              ~goal:config.goal ?caches ~batch:config.batch ?pool ~pac
+              ~goal:config.goal ?caches ?pool ~pac
               ~threshold:st.current_avg ~order oracle proposal training
           with
           | Score.Complete e ->

@@ -16,7 +16,7 @@
     elite trace and every query count replay bit-identically: across
     domain-pool widths (the pool only fans one evaluation's per-image
     attacks, merged in image order), with or without a shared score
-    cache, at any speculative batch width, and across kill/resume.
+    cache, and across kill/resume.
 
     {b Checkpointing.}  With [checkpoint = Some file], the complete
     synthesis state — both PRNG streams, chain position, best program,
@@ -87,7 +87,6 @@ type config = {
   max_synth_queries : int option;
       (** stop (mid-round, without checkpointing partial state) once the
           cross-island query total reaches this *)
-  batch : int;  (** speculative batch width for every attack *)
   early_stop : Score.pac option;
       (** PAC candidate pruning per island, against that island's own
           incumbent average; same contract as

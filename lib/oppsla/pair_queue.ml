@@ -143,15 +143,6 @@ let first_with_location q (loc : Location.t) =
     end
   end
 
-let front_nth q n =
-  if n < 0 then invalid_arg "Pair_queue.front_nth: negative index";
-  let rec walk id k =
-    if id = nil then None
-    else if k = 0 then Some (Pair.of_id ~d2:q.d2 id)
-    else walk q.next.(id) (k - 1)
-  in
-  walk q.head n
-
 let length q = q.size
 let is_empty q = q.size = 0
 

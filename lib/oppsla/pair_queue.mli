@@ -43,12 +43,6 @@ val first_with_location : t -> Location.t -> Pair.t option
 (** The member pair with this location that is closest to the front —
     the paper's "closest pair with respect to the perturbation". *)
 
-val front_nth : t -> int -> Pair.t option
-(** [front_nth q n] is the [n]-th pair from the front without removing
-    it ([front_nth q 0] is what {!pop} would return).  O(n) walk; used
-    by the sketch to speculate its next candidates for batched
-    evaluation. *)
-
 val length : t -> int
 val is_empty : t -> bool
 

@@ -68,17 +68,20 @@ let slot caches i = Option.map (fun s -> Score_cache.image_cache s i) caches
 let wd_attack = Telemetry.Watchdog.loop "sketch.attack"
 
 let evaluate ?max_queries ?goal ?caches ?batch oracle program samples =
+  (match batch with
+  | Some b when b < 1 -> invalid_arg "Score.evaluate: batch < 1"
+  | _ -> ());
   check_caches "Score.evaluate" caches oracle samples;
   of_results
     (Array.mapi
        (fun i (image, true_class) ->
          Telemetry.Watchdog.beat ~image:i wd_attack;
          Telemetry.Journal.with_image i @@ fun () ->
-         Sketch.attack ?max_queries ?goal ?cache:(slot caches i) ?batch oracle
+         Sketch.attack ?max_queries ?goal ?cache:(slot caches i) oracle
            program ~image ~true_class)
        samples)
 
-let evaluate_parallel ?max_queries ?goal ?caches ?batch ~pool oracle program
+let evaluate_parallel ?max_queries ?goal ?caches ~pool oracle program
     samples =
   check_caches "Score.evaluate_parallel" caches oracle samples;
   (* Journal context is domain-local; a pool worker starts with an empty
@@ -95,7 +98,7 @@ let evaluate_parallel ?max_queries ?goal ?caches ?batch ~pool oracle program
          Telemetry.Watchdog.beat ~image:i wd_attack;
          Telemetry.Journal.with_site site @@ fun () ->
          Telemetry.Journal.with_image i @@ fun () ->
-         Sketch.attack ?max_queries ?goal ?cache:(slot caches i) ?batch
+         Sketch.attack ?max_queries ?goal ?cache:(slot caches i)
            (Oracle.clone oracle) program ~image ~true_class)
        (Array.mapi (fun i s -> (i, s)) samples))
 
@@ -130,8 +133,8 @@ type pruned_stats = {
 
 type staged = Complete of evaluation | Pruned of pruned_stats
 
-let evaluate_pac ?max_queries ?goal ?caches ?batch ?pool ~pac ~threshold ~order
-    oracle program samples =
+let evaluate_pac ?max_queries ?goal ?caches ?pool ~pac ~threshold ~order oracle
+    program samples =
   check_caches "Score.evaluate_pac" caches oracle samples;
   let n = Array.length samples in
   if Array.length order <> n then
@@ -167,8 +170,8 @@ let evaluate_pac ?max_queries ?goal ?caches ?batch ?pool ~pac ~threshold ~order
     ( i,
       Telemetry.Journal.with_site site @@ fun () ->
       Telemetry.Journal.with_image i @@ fun () ->
-      Sketch.attack ?max_queries ?goal ?cache:(slot caches i) ?batch o program
-        ~image ~true_class )
+      Sketch.attack ?max_queries ?goal ?cache:(slot caches i) o program ~image
+        ~true_class )
   in
   let run_stage lo hi =
     match pool with

@@ -56,15 +56,13 @@ val evaluate :
     count, or if [oracle] carries an {e attached} per-image cache (which
     cannot be correct for a multi-image batch).
 
-    [batch] (default {!Sketch.default_batch}) is the speculative chunk
-    width forwarded to every per-image {!Sketch.attack}; the evaluation
-    is bit-identical at every width (see {!Batcher}). *)
+    [batch] is kept only for [e2ebench/]: it raises [Invalid_argument]
+    below 1 and is otherwise ignored. *)
 
 val evaluate_parallel :
   ?max_queries:int ->
   ?goal:Sketch.goal ->
   ?caches:Score_cache.store ->
-  ?batch:int ->
   pool:Domain_pool.Pool.t ->
   Oracle.t ->
   Condition.program ->
@@ -85,8 +83,7 @@ val evaluate_parallel :
     any attached cache ({!Oracle.clone}), each image's slot is re-attached
     explicitly to that image's clone, and at any instant an image — hence
     its cache — is held by exactly one domain; the pool's map barrier
-    orders hand-offs between evaluations.  [batch] is forwarded to each
-    image's attack exactly as in {!evaluate}. *)
+    orders hand-offs between evaluations. *)
 
 (** {2 PAC early stopping}
 
@@ -130,7 +127,6 @@ val evaluate_pac :
   ?max_queries:int ->
   ?goal:Sketch.goal ->
   ?caches:Score_cache.store ->
-  ?batch:int ->
   ?pool:Domain_pool.Pool.t ->
   pac:pac ->
   threshold:float ->

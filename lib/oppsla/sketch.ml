@@ -35,8 +35,6 @@ let cache_key (pair : Pair.t) =
       corner = pair.corner;
     }
 
-let default_batch = 16
-
 (* Attack-level telemetry: outcome counters plus the
    queries-to-success/-failure distributions — the histogram form of the
    paper's objective (average queries per successful attack).  All
@@ -54,8 +52,11 @@ let h_queries_to_failure =
    attack that stops beating has genuinely wedged (or the oracle has). *)
 let wd_attack = Telemetry.Watchdog.loop "sketch.attack"
 
-let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
+let attack ?max_queries ?(goal = Untargeted) ?cache ?batch
     ?(on_query = fun _ _ _ -> ()) oracle program ~image ~true_class =
+  (match batch with
+  | Some b when b < 1 -> invalid_arg "Sketch.attack: batch < 1"
+  | _ -> ());
   let run () =
   let cache =
     match cache with Some _ as c -> c | None -> Oracle.cache oracle
@@ -79,16 +80,12 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
               Oracle.unmetered_scores oracle image))
   in
   let spent = ref 0 in
-  let batcher = Batcher.create ?cache ~width:batch oracle in
-  let candidate_of pair =
-    { Batcher.key = cache_key pair; input = (fun () -> perturb image pair) }
-  in
-  (* Query a candidate pair, possibly served from the batcher's
-     speculative buffer.  Raises [Found] on success and [Out_of_queries]
-     when either the local cap or the oracle budget is hit.  The
-     perturbed tensor is only materialized on a cache/buffer miss (or on
-     success, for the result). *)
-  let check ?speculate pair =
+  let batcher = Batcher.create ?cache oracle in
+  (* Query a candidate pair.  Raises [Found] on success and
+     [Out_of_queries] when either the local cap or the oracle budget is
+     hit.  The perturbed tensor is only materialized on a cache miss (or
+     on success, for the result). *)
+  let check pair =
     if !spent >= limit then raise Out_of_queries;
     (* [observe] is the threat-model boundary: the batcher resolves the
        raw score vector (cache and keys are mode-blind), and everything
@@ -100,7 +97,11 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
     let scores =
       try
         Oracle.observe oracle
-          (Batcher.query batcher ?speculate (candidate_of pair))
+          (Batcher.query batcher
+             {
+               Batcher.key = cache_key pair;
+               input = (fun () -> perturb image pair);
+             })
       with Oracle.Budget_exhausted _ -> raise Out_of_queries
     in
     incr spent;
@@ -115,24 +116,12 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
   in
   let queue = Pair_queue.full_space ~d1 ~d2 ~image in
   let b1, b2, b3, b4 = Condition.conditions program in
-  (* Speculation for the main loop: if no condition fires on this pair
-     (the common case — and the only case for the Sketch+False baseline),
-     the next candidates are exactly the queue's front entries.  Any
-     condition that does fire mutates the queue or detours through the
-     eager phase, which changes the next key and makes the batcher
-     discard its buffer — accounting stays exact either way.  Filling is
-     capped by the local query budget so the tail of an attack never
-     over-prepares. *)
-  let speculate_from_queue i =
-    if i >= limit - !spent - 1 then None
-    else Option.map candidate_of (Pair_queue.front_nth queue i)
-  in
   try
     let rec main_loop () =
       match Pair_queue.pop queue with
       | None -> { adversarial = None; queries = !spent }
       | Some pair ->
-          let ctx = ctx_of pair (check ~speculate:speculate_from_queue pair) in
+          let ctx = ctx_of pair (check pair) in
           if Condition.eval b1 ctx then
             List.iter (Pair_queue.push_back queue)
               (closest_loc queue ~d1 ~d2 pair);
@@ -196,7 +185,6 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
             ("queries", Telemetry.Trace.Int r.queries);
             ("success", Telemetry.Trace.Bool (r.adversarial <> None));
             ("true_class", Telemetry.Trace.Int true_class);
-            ("batch", Telemetry.Trace.Int batch);
           ])
     (fun () ->
       (* Journal charge site: "sketch" unless an outer tag (synth, an

@@ -54,9 +54,6 @@ val cache_key : Pair.t -> Score_cache.key
     same finite space (Sparse-RS at [k = 1]), so their caches interoperate
     with the sketch's. *)
 
-val default_batch : int
-(** Default candidate batch width (16). *)
-
 val attack :
   ?max_queries:int ->
   ?goal:goal ->
@@ -76,17 +73,14 @@ val attack :
 
     [cache] is this image's perturbation-score memo table (defaulting to
     the oracle's attached cache, {!Oracle.cache}); queries are answered
-    through the {!Batcher}, so metering — the query counter, the budget
+    through {!Batcher.query}, so metering — the query counter, the budget
     exhaustion point, [queries] in the result — is bit-identical with and
     without it, and so are the score vectors every condition sees.  The
     cache must belong to [image] (see {!Score_cache}).
 
-    [batch] (default {!default_batch}) is the speculative chunk width:
-    candidates are posed to the oracle in chunks via {!Batcher}, the
-    main loop speculating that the queue's front entries come next.
-    Results — success, query counts, condition decisions, [on_query]
-    order — are bit-identical at every width (see {!Batcher}); only
-    wall-clock changes.  [batch:1] is the sequential path.
+    [batch] is kept only for [e2ebench/]: it raises [Invalid_argument]
+    below 1 and is otherwise ignored — every query is resolved on its
+    own, one forward pass per uncached candidate.
 
     [on_query] is an instrumentation hook called after every metered
     query with the 1-based query index, the candidate pair, and the

@@ -62,7 +62,7 @@ let default_config =
     goal = Sketch.Untargeted;
     max_queries_per_image = None;
     max_synth_queries = None;
-    batch = Sketch.default_batch;
+    batch = 1;
     on_iteration = (fun _ -> ());
     evaluator = None;
     early_stop = None;
@@ -71,6 +71,7 @@ let default_config =
 let synthesize ?(config = default_config) ?pool ?caches g oracle ~training =
   if Array.length training = 0 then
     invalid_arg "Synthesizer.synthesize: empty training set";
+  if config.batch < 1 then invalid_arg "Synthesizer.synthesize: batch < 1";
   let gen_config = Gen.config_for_image (fst training.(0)) in
   let evaluate =
     match (config.evaluator, pool) with
@@ -78,13 +79,11 @@ let synthesize ?(config = default_config) ?pool ?caches g oracle ~training =
     | None, Some pool ->
         fun program samples ->
           Score.evaluate_parallel ?max_queries:config.max_queries_per_image
-            ~goal:config.goal ?caches ~batch:config.batch ~pool oracle program
-            samples
+            ~goal:config.goal ?caches ~pool oracle program samples
     | None, None ->
         fun program samples ->
           Score.evaluate ?max_queries:config.max_queries_per_image
-            ~goal:config.goal ?caches ~batch:config.batch oracle program
-            samples
+            ~goal:config.goal ?caches oracle program samples
   in
   let synth_queries = ref 0 in
   let eval_counted program =
@@ -131,8 +130,8 @@ let synthesize ?(config = default_config) ?pool ?caches g oracle ~training =
         @@ fun () ->
         match
           Score.evaluate_pac ?max_queries:config.max_queries_per_image
-            ~goal:config.goal ?caches ~batch:config.batch ?pool ~pac ~threshold
-            ~order oracle proposal training
+            ~goal:config.goal ?caches ?pool ~pac ~threshold ~order oracle
+            proposal training
         with
         | Score.Complete e ->
             synth_queries := !synth_queries + e.Score.total_queries;

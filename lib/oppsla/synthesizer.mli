@@ -42,11 +42,8 @@ type config = {
   max_synth_queries : int option;
       (** stop early once this many synthesis queries were spent *)
   batch : int;
-      (** speculative candidate batch width forwarded to every attack
-          during evaluation; default {!Sketch.default_batch}.  Traces and
-          query accounting are bit-identical at every width (see
-          {!Batcher}); only wall-clock changes.  Ignored when [evaluator]
-          is set (a custom evaluator owns its own batching). *)
+      (** kept only for [e2ebench/]; default 1.  {!synthesize} raises
+          [Invalid_argument] below 1 and otherwise ignores it. *)
   on_iteration : iteration -> unit;  (** progress hook *)
   evaluator :
     (Condition.program -> (Tensor.t * int) array -> Score.evaluation) option;

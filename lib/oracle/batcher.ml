@@ -1,43 +1,15 @@
-(* Speculative candidate batching over a metered oracle.
+(* The keyed query path: one candidate in, one metered answer out.
 
-   Attackers are sequential decision processes: candidate [j+1] may
-   depend on the answer to candidate [j].  Posing candidates one by one
-   keeps accounting trivial but wastes the batched forward pass.  The
-   batcher closes the gap speculatively: when the attacker asks for a
-   candidate, it also asks the attacker (via [speculate]) which
-   candidates it WOULD pose next if nothing interesting happens, resolves
-   the whole chunk in one unmetered batched forward pass, and buffers the
-   results.  Subsequent queries are served from the buffer as long as the
-   requested key matches the buffered head; any deviation (the attacker
-   reacted to an answer) discards the buffer and rebuilds it from the
-   attacker's true state.
-
-   Accounting is exact by construction, not by rollback: the forward
-   passes are speculative and unmetered ({!Oracle.eval_batch}), while the
-   query counter is charged at consumption time only, one query per
-   served candidate, in the exact order the attacker poses them.  Query
-   counts, budget-exhaustion indices, success flags and synthesizer
-   traces are therefore bit-identical to the sequential path at every
-   batch width — mis-speculation costs wall-clock, never queries. *)
+   The attack is a sequential decision process — each answer may reorder
+   what comes next — so a query resolves exactly the candidate it is
+   posed: the budget check, a cache lookup, on a miss one forward pass
+   of that one image, the cache add, then the charge.  An uncached
+   charged query therefore costs exactly one forward image, and a query
+   the budget refuses costs none. *)
 
 type candidate = { key : Score_cache.key; input : unit -> Tensor.t }
 
-(* One buffered answer: the key it was prepared under, the resolved
-   score vector, whether the cache already held it, and its slot
-   position inside the speculative chunk (journal provenance). *)
-type slot = {
-  skey : Score_cache.key;
-  score : Tensor.t;
-  shit : bool;
-  spos : int;
-}
-
-type t = {
-  oracle : Oracle.t;
-  cache : Score_cache.t option;
-  width : int;
-  mutable buf : slot list; (* head = next expected *)
-}
+type t = { oracle : Oracle.t; cache : Score_cache.t option }
 
 type stats = {
   queries : int;
@@ -47,159 +19,42 @@ type stats = {
   discarded : int;
 }
 
-(* Global counters, aggregated across every batcher (and every domain —
-   attacks under the pool run concurrently, hence atomics).  They live
-   in the process-wide telemetry registry: [global_stats] is now a view
-   over the registry, so `--metrics FILE` and the consolidated report
-   section read the same numbers the legacy stats API returns. *)
+(* Charged queries, aggregated across every batcher and domain (attacks
+   under the pool run concurrently, hence the atomic registry counter).
+   Each query resolves one candidate on its own, so it is also one
+   chunk and one prepared candidate. *)
 let g_queries = Telemetry.Metrics.counter "batcher.queries"
-let g_batches = Telemetry.Metrics.counter "batcher.chunks"
-let g_prepared = Telemetry.Metrics.counter "batcher.prepared"
-let g_buffer_hits = Telemetry.Metrics.counter "batcher.buffer_hits"
-let g_discarded = Telemetry.Metrics.counter "batcher.discarded"
-
-(* Chunk-width and mis-speculation distributions: how wide the
-   speculative forward passes actually run, and how much prepared work
-   each deviation throws away. *)
-let h_chunk_width =
-  Telemetry.Metrics.histogram
-    ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
-    "batcher.chunk_width"
-
-let h_discarded =
-  Telemetry.Metrics.histogram
-    ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
-    "batcher.discarded_per_misspeculation"
-
-let bump = Telemetry.Counter.add
 
 let global_stats () =
-  {
-    queries = Telemetry.Counter.get g_queries;
-    batches = Telemetry.Counter.get g_batches;
-    prepared = Telemetry.Counter.get g_prepared;
-    buffer_hits = Telemetry.Counter.get g_buffer_hits;
-    discarded = Telemetry.Counter.get g_discarded;
-  }
+  let q = Telemetry.Counter.get g_queries in
+  { queries = q; batches = q; prepared = q; buffer_hits = 0; discarded = 0 }
 
-let reset_global_stats () =
-  Telemetry.Counter.reset g_queries;
-  Telemetry.Counter.reset g_batches;
-  Telemetry.Counter.reset g_prepared;
-  Telemetry.Counter.reset g_buffer_hits;
-  Telemetry.Counter.reset g_discarded;
-  Telemetry.Histogram.reset h_chunk_width;
-  Telemetry.Histogram.reset h_discarded
+let reset_global_stats () = Telemetry.Counter.reset g_queries
 
-let zero_stats =
-  { queries = 0; batches = 0; prepared = 0; buffer_hits = 0; discarded = 0 }
-
-let add_stats a b =
-  {
-    queries = a.queries + b.queries;
-    batches = a.batches + b.batches;
-    prepared = a.prepared + b.prepared;
-    buffer_hits = a.buffer_hits + b.buffer_hits;
-    discarded = a.discarded + b.discarded;
-  }
-
-let create ?cache ~width oracle =
-  if width < 1 then invalid_arg "Batcher.create: width < 1";
+let create ?cache oracle =
   let cache = match cache with Some _ as c -> c | None -> Oracle.cache oracle in
-  { oracle; cache; width; buf = [] }
+  { oracle; cache }
 
-let width t = t.width
+let forward t cand = (Oracle.eval_batch t.oracle [| cand.input () |]).(0)
 
-let drop_buffer t =
-  match t.buf with
-  | [] -> ()
-  | l ->
-      let n = List.length l in
-      bump g_discarded n;
-      Telemetry.Histogram.observe h_discarded (float_of_int n);
-      t.buf <- []
-
-(* Resolve a chunk of candidates without metering: cache hits first, the
-   misses in one batched forward pass, results stored under their keys. *)
-let prepare t chunk =
-  bump g_batches 1;
-  bump g_prepared (Array.length chunk);
-  Telemetry.Histogram.observe h_chunk_width
-    (float_of_int (Array.length chunk));
-  let resolved = Array.make (Array.length chunk) None in
-  let hits = Array.make (Array.length chunk) false in
-  (match t.cache with
-  | None -> ()
-  | Some c ->
-      Array.iteri
-        (fun i cand ->
-          resolved.(i) <- Score_cache.find_counted c cand.key;
-          hits.(i) <- resolved.(i) <> None)
-        chunk);
-  let missing = ref [] in
-  for i = Array.length chunk - 1 downto 0 do
-    if resolved.(i) = None then missing := i :: !missing
-  done;
-  let missing = Array.of_list !missing in
-  if Array.length missing > 0 then begin
-    let outs =
-      Telemetry.Trace.span "batcher.prepare" ~cat:"oracle"
-        ~args:(fun () ->
-          [
-            ("chunk", Telemetry.Trace.Int (Array.length chunk));
-            ("forwarded", Telemetry.Trace.Int (Array.length missing));
-          ])
-        (fun () ->
-          Oracle.eval_batch t.oracle
-            (Array.map (fun i -> chunk.(i).input ()) missing))
-    in
-    Array.iteri
-      (fun j i ->
-        resolved.(i) <- Some outs.(j);
-        match t.cache with
-        | Some c -> Score_cache.add c chunk.(i).key outs.(j)
-        | None -> ())
-      missing
-  end;
-  t.buf <-
-    Array.to_list
-      (Array.mapi
-         (fun i cand ->
-           {
-             skey = cand.key;
-             score = Option.get resolved.(i);
-             shit = hits.(i);
-             spos = i;
-           })
-         chunk)
-
-let no_speculation : int -> candidate option = fun _ -> None
-
-let query t ?(speculate = no_speculation) cand =
-  (match t.buf with
-  | { skey; _ } :: _ when skey = cand.key -> bump g_buffer_hits 1
-  | _ ->
-      drop_buffer t;
-      let chunk = ref [ cand ] and filled = ref 1 and stop = ref false in
-      while (not !stop) && !filled < t.width do
-        match speculate (!filled - 1) with
-        | None -> stop := true
-        | Some c ->
-            chunk := c :: !chunk;
-            incr filled
-      done;
-      prepare t (Array.of_list (List.rev !chunk)));
-  match t.buf with
-  | [] -> assert false
-  | { skey = _; score; shit; spos } :: rest ->
-      (* Metering happens here — at consumption, never at preparation —
-         so the counter advances in the attacker's true query order and
-         Budget_exhausted fires at the sequential path's exact index.
-         The slot's hit flag and chunk position ride along as journal
-         provenance. *)
-      Oracle.meter
-        ~kind:(Score_cache.key_kind cand.key)
-        ~ckey:cand.key ~hit:shit ~chunk:spos t.oracle;
-      bump g_queries 1;
-      t.buf <- rest;
-      score
+let query t cand =
+  (* Refuse before any work: an exhausted budget raises at the same
+     index as {!Oracle.scores}, with no lookup and no forward. *)
+  (match Oracle.budget t.oracle with
+  | Some b when Oracle.exhausted t.oracle -> raise (Oracle.Budget_exhausted b)
+  | _ -> ());
+  let score, hit =
+    match t.cache with
+    | None -> (forward t cand, false)
+    | Some c -> (
+        match Score_cache.find_counted c cand.key with
+        | Some s -> (s, true)
+        | None ->
+            let s = forward t cand in
+            Score_cache.add c cand.key s;
+            (s, false))
+  in
+  Oracle.meter ~kind:(Score_cache.key_kind cand.key) ~ckey:cand.key ~hit
+    t.oracle;
+  Telemetry.Counter.incr g_queries;
+  score

@@ -1,32 +1,19 @@
-(** Speculative candidate batching with query-identical accounting.
+(** The keyed query path: one candidate, one metered answer.
 
     A [Batcher.t] sits between a sequential attacker and a metered
     {!Oracle.t}.  Each {!query} names the candidate the attacker is
-    posing NOW (by its {!Score_cache.key} identity) plus, optionally, a
-    [speculate] callback enumerating the candidates it would pose next
-    if nothing interesting happens.  The batcher resolves up to [width]
-    candidates in one unmetered batched forward pass
-    ({!Oracle.eval_batch}; cache hits are excluded from the batch first)
-    and buffers the results; while subsequent queries match the buffered
-    heads they are served — and metered — one at a time from the buffer.
-    A query whose key differs from the buffered head (the attacker
-    changed course after an answer) discards the buffer and rebuilds
-    from the true state.
-
-    {b The speculative-batching invariant.}  Forward passes are
-    speculative and free of accounting; the query counter is charged
-    only at consumption, one query per served candidate, in the exact
-    order posed.  If success or budget exhaustion lands at candidate [j]
-    of a chunk, results after [j] are discarded and exactly [j+1]
-    queries were charged — query counts, success flags,
+    posing now by its {!Score_cache.key} identity and resolves exactly
+    that candidate: a cache lookup, on a miss one forward pass of that
+    one image ({!Oracle.eval_batch}), the cache add, then one charge
+    through {!Oracle.meter}.  Every uncached charged query therefore
+    costs exactly one forward image, and query counts, success flags,
     [Budget_exhausted] indices and synthesizer traces are bit-identical
-    to the sequential path at every batch width.  Mis-speculation costs
-    wall-clock only.  [test/test_batch_eval.ml] and
-    [test/diff_runner.ml --batch 1|16] enforce this.
+    with and without a cache.
 
     Candidate keys must uniquely identify the perturbed input within the
     attacked image, exactly as cache keys must ({!Score_cache.key}); the
-    same keys serve both purposes. *)
+    same keys serve both purposes.  (The module keeps its name and its
+    {!stats} record for [e2ebench/], which reads them.) *)
 
 type candidate = {
   key : Score_cache.key;  (** identity of the perturbed input *)
@@ -35,40 +22,31 @@ type candidate = {
 
 type t
 
-val create : ?cache:Score_cache.t -> width:int -> Oracle.t -> t
-(** [create ~width oracle]: a batcher posing chunks of up to [width]
-    candidates.  Uses [cache] (default: the oracle's attached cache, see
-    {!Oracle.set_cache}) to exclude already-known candidates from the
-    forward pass and to store newly computed ones.  Width 1 degenerates
-    to the sequential path ([speculate] is never called).  Raises
-    [Invalid_argument] if [width < 1]. *)
+val create : ?cache:Score_cache.t -> Oracle.t -> t
+(** [create oracle]: a query path over [oracle], using [cache] (default:
+    the oracle's attached cache, see {!Oracle.set_cache}) to answer
+    known candidates without a forward pass and to store new ones. *)
 
-val query : t -> ?speculate:(int -> candidate option) -> candidate -> Tensor.t
-(** One metered query, answered from the buffer when possible.
-    [speculate i] (called only when a new chunk must be built) returns
-    the [i]-th candidate the attacker would pose after this one under
-    the assumption that no answer changes its course, or [None] to stop
-    filling; it must not mutate attacker state.  Meters exactly like
-    {!Oracle.scores} — same counter increment, same {!Budget_exhausted}
-    at the same query index. *)
-
-val width : t -> int
+val query : t -> candidate -> Tensor.t
+(** One metered query.  Meters exactly like {!Oracle.scores}: same
+    counter increment, same {!Oracle.Budget_exhausted} at the same query
+    index.  A query the budget refuses raises before any cache lookup or
+    forward pass. *)
 
 (** {1 Statistics}
 
     Counters are global (atomic, summed across all batchers and
-    domains); [Runner]/[Workbench] reset them per run and report them
-    next to cache and pool statistics. *)
+    domains).  The record keeps the fields [e2ebench/] reads: a query
+    resolves one candidate on its own, so [batches] and [prepared]
+    equal [queries], and [buffer_hits] and [discarded] are always 0. *)
 
 type stats = {
   queries : int;  (** metered queries served *)
-  batches : int;  (** chunks resolved (batched forward passes + probes) *)
-  prepared : int;  (** candidates resolved across all chunks *)
-  buffer_hits : int;  (** queries served from an existing buffer *)
-  discarded : int;  (** buffered results thrown away on mis-speculation *)
+  batches : int;  (** candidates resolved one at a time: [queries] *)
+  prepared : int;  (** candidates resolved: [queries] *)
+  buffer_hits : int;  (** always 0 *)
+  discarded : int;  (** always 0 *)
 }
 
 val global_stats : unit -> stats
 val reset_global_stats : unit -> unit
-val zero_stats : stats
-val add_stats : stats -> stats -> stats

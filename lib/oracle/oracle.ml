@@ -110,11 +110,11 @@ let of_network ?budget ?(backend = Nn.Backend.Boxed) ?pool net =
   }
 
 (* The single funnel every charged query passes through.  [kind] is the
-   per-key-kind counter split; [ckey]/[hit]/[chunk] are journal
-   provenance (the cache key, whether the score came from the memo
-   layer, the batcher slot position) — consulted only when the journal
-   sink is open, so the disabled path costs one extra atomic load. *)
-let meter ?kind ?ckey ?hit ?chunk t =
+   per-key-kind counter split; [ckey]/[hit] are journal provenance (the
+   cache key, whether the score came from the memo layer) — consulted
+   only when the journal sink is open, so the disabled path costs one
+   extra atomic load. *)
+let meter ?kind ?ckey ?hit t =
   (match t.limit with
   | Some b when t.count >= b -> raise (Budget_exhausted b)
   | _ -> ());
@@ -132,7 +132,7 @@ let meter ?kind ?ckey ?hit ?chunk t =
       ~kind:(Option.value kind ~default:"unkeyed")
       ~mode:(mode_label t.qmode)
       ~hit:(Option.value hit ~default:false)
-      ?chunk ~backend:t.backend_kind ()
+      ~backend:t.backend_kind ()
 
 let validated t s =
   if Tensor.numel s <> t.classes then
@@ -145,10 +145,11 @@ let scores t x =
   meter t;
   validated t (t.fn x)
 
-(* Unmetered batched forward pass: the speculative half of the batched
-   query path.  Falls back to mapping [fn] when the scoring function has
-   no batched form (toy oracles), which keeps the accounting semantics
-   testable independently of the GEMM engine. *)
+(* Unmetered forward pass over an array of images: the forward half of
+   [Batcher.query], which meters each answer.  Falls back to mapping
+   [fn] when the scoring function has no batched form (toy oracles),
+   which keeps the accounting semantics testable independently of the
+   GEMM engine. *)
 let eval_batch t xs =
   Telemetry.Counter.incr m_batch_forwards;
   Telemetry.Trace.span "oracle.eval_batch" ~cat:"oracle"

@@ -14,7 +14,7 @@
     perturbations.  The cache sits strictly {e under} the metering layer:
     {!Batcher.query} — the one path cached queries take — charges each
     query through {!meter} no matter whether its answer came from the
-    cache, the speculative buffer or a fresh forward pass, so query
+    cache or a fresh forward pass, so query
     accounting is bit-identical with and without a cache — caching
     trades forward passes, never queries. *)
 
@@ -37,9 +37,9 @@ val of_network :
   Nn.Network.t ->
   t
 (** Network-backed oracle.  The network is compiled once into a
-    {!Nn.Backend} plan and every query runs through it: batched queries
-    ({!eval_batch}, {!Batcher}) as one forward pass for the whole chunk,
-    single-image ones as a batch of one.  [?backend] (default [Boxed])
+    {!Nn.Backend} plan and every forward runs through it: {!eval_batch}
+    as one forward pass for the whole array, single-image queries as a
+    batch of one.  [?backend] (default [Boxed])
     selects the tensor engine: [Boxed] is the float64 reference plan
     ({!Nn.Backend.Boxed_engine}, the engine behind {!Nn.Network.scores}),
     [F32] the float32 Bigarray plan ({!Nn.Backend.F32_engine}) —
@@ -55,7 +55,7 @@ val of_fn :
   (Tensor.t -> Tensor.t) -> t
 (** Wrap an arbitrary scoring function (tests, toy classifiers).  The
     function must return a score vector of length [num_classes].
-    Without [batch_fn], batched queries fall back to mapping the
+    Without [batch_fn], {!eval_batch} falls back to mapping the
     single-image function — accounting semantics are identical either
     way, only wall-clock differs. *)
 
@@ -97,7 +97,7 @@ val score_of : t -> Tensor.t -> int -> float
 (** [score_of t x c] is [(scores t x).(c)] — one metered query. *)
 
 val meter :
-  ?kind:string -> ?ckey:Score_cache.key -> ?hit:bool -> ?chunk:int -> t -> unit
+  ?kind:string -> ?ckey:Score_cache.key -> ?hit:bool -> t -> unit
 (** The metering half of {!scores} on its own: raise {!Budget_exhausted}
     if the budget is spent, otherwise charge one query.  Exposed so
     caching layers can keep metering {e above} the cache; never call it
@@ -105,19 +105,17 @@ val meter :
     {!Score_cache.key_kind} label) only routes the telemetry per-kind
     counter [oracle.queries.<kind>]; it never affects accounting.
 
-    [ckey], [hit] and [chunk] are query-journal provenance — the cache
-    key behind the charge, whether the memo layer already held the
-    answer, and the batcher slot position.  They are only consulted
-    when the journal sink is open and never affect accounting: a
-    journaled run charges the same queries at the same indices as a
-    bare one (the [journal] bench asserts this). *)
+    [ckey] and [hit] are query-journal provenance — the cache key behind
+    the charge and whether the memo layer already held the answer.  They
+    are only consulted when the journal sink is open and never affect
+    accounting: a journaled run charges the same queries at the same
+    indices as a bare one (the [journal] bench asserts this). *)
 
 val eval_batch : t -> Tensor.t array -> Tensor.t array
-(** Unmetered batched forward pass — the {e speculative} half of the
-    batched query path.  Deliberately not a query: callers
-    ({!Batcher}) must meter each slot at consumption
-    time, in submission order, so speculation can never perturb query
-    accounting.  Never call it from attack code directly. *)
+(** Unmetered forward pass over an array of images — the forward half of
+    {!Batcher.query}, which meters each answer through {!meter}.
+    Deliberately not a query; never call it from attack code
+    directly. *)
 
 val queries : t -> int
 (** Queries posed since creation or the last {!reset}. *)

@@ -9,7 +9,7 @@
                "run_id": "..."}
      record   {"seq": 17, "site": "sketch", "image": 3,
                "key": "corner:1,2,0", "kind": "corner", "mode": "score",
-               "hit": false, "chunk": 2, "backend": "boxed",
+               "hit": false, "chunk": -1, "backend": "boxed",
                "fnv": "<16 hex digits>"}
      footer   {"journal_end": true, "records": 123}
 

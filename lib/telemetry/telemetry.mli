@@ -480,9 +480,9 @@ module Journal : sig
     backend:string -> unit -> unit
   (** Emit one charge record (no-op when disabled).  Called by
       [Oracle.meter] — the single funnel every charged query passes
-      through.  [chunk] is the batcher slot position (-1 when the
-      charge was not batched); site and image come from the
-      domain-local context below. *)
+      through.  [chunk] is a batcher slot position, default -1 (the
+      oracle resolves every charge on its own and never passes one);
+      site and image come from the domain-local context below. *)
 
   val with_site : string -> (unit -> 'a) -> 'a
   (** Tag charges issued by [f] (on this domain) with a charge site. *)

@@ -1,16 +1,14 @@
-(* The batched-inference differential suite.
+(* The inference-engine and query-path suite.
 
    Two contracts are enforced here.  First, the im2col+GEMM engine is a
    pure reformulation: matmul agrees with the naive triple loop exactly,
-   conv2d_gemm_batch agrees with the direct conv2d bit-for-bit at batch
-   widths 1 and n, and row [i] of a compiled boxed plan's scores_batch
+   conv2d_gemm_batch agrees with the direct conv2d bit-for-bit for one
+   image and for n, and row [i] of a compiled boxed plan's scores_batch
    equals the single-image Network.scores of image [i]
-   element-for-element.  Second, speculative
-   candidate batching is invisible to accounting: forward passes are
-   unmetered, queries are charged one at a time at consumption, and every
-   attack observable — query counts, success flags, adversarial pairs,
-   per-query traces, Budget_exhausted indices — is bit-identical at every
-   batch width. *)
+   element-for-element.  Second, the keyed query path resolves exactly
+   the candidate it is posed: every uncached charged query costs one
+   forward image, a cached one costs a forward only on a miss, and a
+   query the budget refuses costs neither a lookup nor a forward. *)
 
 module Sketch = Oppsla.Sketch
 module C = Oppsla.Condition
@@ -214,206 +212,211 @@ let cand v =
     input = (fun () -> Tensor.create [| 2; 2 |] (float_of_int v /. 10.));
   }
 
-let batcher_metering_and_speculation () =
+let batcher_one_forward_per_query () =
   Batcher.reset_global_stats ();
   let calls = ref 0 in
   let oracle = counting_oracle calls in
-  let t = Batcher.create ~width:4 oracle in
-  let plan = [| cand 1; cand 2; cand 3 |] in
-  let speculate i = if i < 2 then Some plan.(i + 1) else None in
-  (* First query builds a 3-candidate chunk: one batched forward pass,
-     three scoring-function calls, ONE metered query. *)
-  let s1 = Batcher.query t ~speculate plan.(0) in
-  Alcotest.(check (float 0.)) "answer for candidate 1" 0.1
-    (Tensor.get_flat s1 1);
-  Alcotest.(check int) "forwards are speculative" 3 !calls;
-  Alcotest.(check int) "one metered query" 1 (Oracle.queries oracle);
-  (* Second query is served from the buffer: no new forward. *)
-  let s2 = Batcher.query t ~speculate plan.(1) in
-  Alcotest.(check (float 0.)) "answer for candidate 2" 0.2
-    (Tensor.get_flat s2 1);
-  Alcotest.(check int) "no new forward" 3 !calls;
-  Alcotest.(check int) "two metered queries" 2 (Oracle.queries oracle);
-  (* Changing course discards the rest of the buffer (candidate 3) and
-     rebuilds from the new head. *)
-  let s9 = Batcher.query t (cand 9) in
-  Alcotest.(check (float 0.)) "answer after mis-speculation" 0.9
-    (Tensor.get_flat s9 1);
-  Alcotest.(check int) "rebuild evaluates the new head" 4 !calls;
-  Alcotest.(check int) "three metered queries" 3 (Oracle.queries oracle);
+  let t = Batcher.create oracle in
+  List.iteri
+    (fun i v ->
+      let s = Batcher.query t (cand v) in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "answer for candidate %d" v)
+        (float_of_int v /. 10.)
+        (Tensor.get_flat s 1);
+      Alcotest.(check int) "one forward per query" (i + 1) !calls;
+      Alcotest.(check int) "one metered query" (i + 1) (Oracle.queries oracle))
+    [ 1; 2; 9; 2 ];
   let s = Batcher.global_stats () in
-  Alcotest.(check int) "stats: queries" 3 s.Batcher.queries;
-  Alcotest.(check int) "stats: chunks" 2 s.Batcher.batches;
+  Alcotest.(check int) "stats: queries" 4 s.Batcher.queries;
+  Alcotest.(check int) "stats: chunks" 4 s.Batcher.batches;
   Alcotest.(check int) "stats: prepared" 4 s.Batcher.prepared;
-  Alcotest.(check int) "stats: buffer hits" 1 s.Batcher.buffer_hits;
-  Alcotest.(check int) "stats: discarded" 1 s.Batcher.discarded
+  Alcotest.(check int) "stats: buffer hits" 0 s.Batcher.buffer_hits;
+  Alcotest.(check int) "stats: discarded" 0 s.Batcher.discarded
 
 let batcher_cache_excludes_hits () =
   let calls = ref 0 in
   let oracle = counting_oracle calls in
   let cache = Score_cache.create () in
-  (* Pre-resolve candidate 2: the forward pass must skip it. *)
+  (* Pre-resolve candidate 2: its query must skip the forward pass. *)
   ignore
     (Score_cache.find_or_add cache (cand 2).Batcher.key ~compute:(fun () ->
          Tensor.of_array [| 2 |] [| 0.8; 0.2 |]));
-  let t = Batcher.create ~cache ~width:4 oracle in
-  let plan = [| cand 1; cand 2; cand 3 |] in
-  let speculate i = if i < 2 then Some plan.(i + 1) else None in
-  ignore (Batcher.query t ~speculate plan.(0));
-  Alcotest.(check int) "cache hit left the forward pass" 2 !calls;
-  let s2 = Batcher.query t ~speculate plan.(1) in
+  let t = Batcher.create ~cache oracle in
+  ignore (Batcher.query t (cand 1));
+  Alcotest.(check int) "miss forwards" 1 !calls;
+  let s2 = Batcher.query t (cand 2) in
   Alcotest.(check (float 0.)) "cached answer served" 0.2
     (Tensor.get_flat s2 1);
-  Alcotest.(check int) "no extra forward" 2 !calls;
-  Alcotest.(check int) "hits are still metered" 2 (Oracle.queries oracle);
-  (* Newly computed slots were stored for later reuse. *)
+  Alcotest.(check int) "hit skips the forward" 1 !calls;
+  ignore (Batcher.query t (cand 3));
+  Alcotest.(check int) "hits are still metered" 3 (Oracle.queries oracle);
+  Alcotest.(check int) "forwards = misses" 2 !calls;
+  (* Newly computed answers were stored for later reuse. *)
   Alcotest.(check bool) "misses were cached" true
     (Score_cache.mem cache (cand 1).Batcher.key
     && Score_cache.mem cache (cand 3).Batcher.key)
 
-(* Budget exhaustion fires at exactly the sequential query index even
-   when the answer is already sitting in the buffer: the speculative
-   forward pass resolved candidate 3 for free, but consuming it is the
-   third query against a budget of 2. *)
+(* Budget exhaustion fires at exactly the sequential query index, and
+   the refused query does no work: no cache lookup, no forward pass, no
+   new cache entry. *)
 let batcher_budget_exact_index () =
   let calls = ref 0 in
   let oracle = counting_oracle ~budget:2 calls in
-  let t = Batcher.create ~width:4 oracle in
-  let plan = [| cand 1; cand 2; cand 3; cand 4 |] in
-  let speculate i = if i < 3 then Some plan.(i + 1) else None in
-  ignore (Batcher.query t ~speculate plan.(0));
-  Alcotest.(check int) "whole chunk resolved speculatively" 4 !calls;
-  ignore (Batcher.query t ~speculate plan.(1));
+  let cache = Score_cache.create () in
+  let t = Batcher.create ~cache oracle in
+  ignore (Batcher.query t (cand 1));
+  ignore (Batcher.query t (cand 1));
   Alcotest.(check int) "budget spent" 2 (Oracle.queries oracle);
-  Alcotest.(check bool) "third consumption raises at index 2" true
-    (try
-       ignore (Batcher.query t ~speculate plan.(2));
-       false
-     with Oracle.Budget_exhausted 2 -> true);
-  Alcotest.(check int) "no forward after exhaustion" 4 !calls
-
-let batcher_width_one_never_speculates () =
-  let calls = ref 0 in
-  let speculated = ref 0 in
-  let t = Batcher.create ~width:1 (counting_oracle calls) in
-  let speculate _ =
-    incr speculated;
-    Some (cand 2)
-  in
-  ignore (Batcher.query t ~speculate (cand 1));
-  ignore (Batcher.query t ~speculate (cand 2));
-  Alcotest.(check int) "width 1 is the sequential path" 0 !speculated;
-  Alcotest.(check int) "one forward per query" 2 !calls;
-  Alcotest.(check bool) "width < 1 rejected" true
-    (try
-       ignore (Batcher.create ~width:0 (counting_oracle calls));
-       false
-     with Invalid_argument _ -> true)
-
-(* {1 Attack-level width identity} *)
-
-let check_result name (seq : Sketch.result) (b : Sketch.result) =
-  Alcotest.(check int) (name ^ ": queries") seq.Sketch.queries b.Sketch.queries;
-  match (seq.Sketch.adversarial, b.Sketch.adversarial) with
-  | None, None -> ()
-  | Some (p_seq, x_seq), Some (p_b, x_b) ->
+  let before = Score_cache.stats cache in
+  List.iter
+    (fun v ->
       Alcotest.(check bool)
-        (name ^ ": same adversarial pair")
+        (Printf.sprintf "candidate %d refused at index 2" v)
         true
-        (Oppsla.Pair.equal p_seq p_b);
-      Alcotest.(check (array (float 0.)))
-        (name ^ ": same adversarial tensor")
-        x_seq.Tensor.data x_b.Tensor.data
-  | _ -> Alcotest.fail (name ^ ": success flag diverged")
+        (try
+           ignore (Batcher.query t (cand v));
+           false
+         with Oracle.Budget_exhausted 2 -> true))
+    [ 1; 3 ];
+  let after = Score_cache.stats cache in
+  Alcotest.(check int) "no forward after exhaustion" 1 !calls;
+  Alcotest.(check int) "no lookup after exhaustion"
+    (before.Score_cache.hits + before.Score_cache.misses)
+    (after.Score_cache.hits + after.Score_cache.misses);
+  Alcotest.(check bool) "refused candidate not cached" false
+    (Score_cache.mem cache (cand 3).Batcher.key)
 
-(* Sketch at widths 2/4/16 vs the sequential width 1: result AND the
-   full per-query (index, pair, scores) trace, across random programs,
-   random caps and a tight oracle budget (so exhaustion points are
-   exercised too). *)
-let sketch_width_identity () =
-  let gen_config = Helpers.gen_config ~size in
-  for trial = 0 to 7 do
-    let g = Prng.of_int (300 + trial) in
-    let image =
-      Tensor.rand_uniform (Prng.split g) ~lo:0.35 ~hi:0.65 [| 3; size; size |]
-    in
-    let program = Oppsla.Gen.random_program gen_config g in
-    let max_queries = if Prng.bool g then None else Some (1 + Prng.int g 40) in
-    let budget = if trial mod 3 = 0 then Some (1 + Prng.int g 20) else None in
-    let trace batch =
-      let log = ref [] in
-      let r =
-        Sketch.attack ?max_queries ~batch
-          ~on_query:(fun i pair scores ->
-            log := (i, pair, Array.copy scores.Tensor.data) :: !log)
-          (Helpers.mean_threshold_oracle ?budget ())
-          program ~image ~true_class:0
-      in
-      (r, List.rev !log)
-    in
-    let seq, seq_log = trace 1 in
-    List.iter
-      (fun batch ->
-        let b, b_log = trace batch in
-        let name = Printf.sprintf "sketch trial %d width %d" trial batch in
-        check_result name seq b;
-        Alcotest.(check int) (name ^ ": trace length")
-          (List.length seq_log) (List.length b_log);
-        List.iter2
-          (fun (i_seq, p_seq, s_seq) (i_b, p_b, s_b) ->
-            Alcotest.(check int) (name ^ ": query index") i_seq i_b;
-            Alcotest.(check bool) (name ^ ": queried pair") true
-              (Oppsla.Pair.equal p_seq p_b);
-            Alcotest.(check (array (float 0.)))
-              (name ^ ": score vector") s_seq s_b)
-          seq_log b_log)
-      [ 2; 4; 16 ]
-  done
+(* {1 Forward images per query, attack level} *)
 
-(* Sketch width identity on a real network oracle: the batched path runs
-   the im2col+GEMM engine while width 1 answers image by image, so this
-   closes the loop between the two halves of the suite. *)
-let sketch_width_identity_on_network () =
-  let g = Prng.of_int 77 in
-  let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size:8 ~num_classes:3 in
-  let image = Tensor.rand_uniform g [| 3; 8; 8 |] in
-  let program = Oppsla.Gen.random_program (Helpers.gen_config ~size:8) g in
-  let run batch =
-    Sketch.attack ~batch ~max_queries:48
-      (Oracle.of_network net)
+(* A two-class oracle no one-pixel perturbation flips (class 1 needs a
+   mean above 2), counting forward images per path: [batch_images]
+   counts the query path's forwards ({!Oracle.eval_batch}),
+   [single_images] the unmetered single-image reads such as the
+   sketch's clean scores. *)
+let counting_net_oracle () =
+  let batch_images = ref 0 and single_images = ref 0 in
+  let score x =
+    let z = 40. *. (Tensor.mean x -. 2.) in
+    let p1 = 1. /. (1. +. exp (-.z)) in
+    Tensor.of_array [| 2 |] [| 1. -. p1; p1 |]
+  in
+  let oracle =
+    Oracle.of_fn ~name:"counting-net" ~num_classes:2
+      ~batch_fn:(fun xs ->
+        batch_images := !batch_images + Array.length xs;
+        Array.map score xs)
+      (fun x ->
+        incr single_images;
+        score x)
+  in
+  (oracle, batch_images, single_images)
+
+(* A program whose conditions fire on about half the candidates: B1
+   pushes same-corner neighbours back after bright corners, B4 eagerly
+   checks the front-most pair at the location after dark ones. *)
+let firing_program =
+  {
+    C.b1 = C.Cmp { func = C.Avg C.Pert; cmp = C.Gt; threshold = 0.5 };
+    b2 = C.Const false;
+    b3 = C.Const false;
+    b4 = C.Cmp { func = C.Avg C.Pert; cmp = C.Lt; threshold = 0.4 };
+  }
+
+let forward_images_match_queries () =
+  let size = 6 in
+  let image =
+    Tensor.rand_uniform (Prng.of_int 41) ~lo:0.2 ~hi:0.8 [| 3; size; size |]
+  in
+  let attacks =
+    [
+      ( "sketch",
+        fun oracle ->
+          (Sketch.attack ~max_queries:120 oracle firing_program ~image
+             ~true_class:0)
+            .Sketch.queries );
+      ( "sparse_rs",
+        fun oracle ->
+          let config =
+            { Baselines.Sparse_rs.max_queries = 120; min_explore = 0.1 }
+          in
+          (Baselines.Sparse_rs.attack ~config (Prng.of_int 5) oracle ~image
+             ~true_class:0)
+            .Sketch.queries );
+      ( "su_opa",
+        fun oracle ->
+          let config =
+            { Baselines.Su_opa.population = 8; f = 0.5; max_queries = 120 }
+          in
+          (Baselines.Su_opa.attack ~config (Prng.of_int 13) oracle ~image
+             ~true_class:0)
+            .Sketch.queries );
+    ]
+  in
+  List.iter
+    (fun (name, attack) ->
+      let oracle, forwarded, _ = counting_net_oracle () in
+      let queries = attack oracle in
+      Alcotest.(check int) (name ^ ": streamed to the cap") 120 queries;
+      Alcotest.(check int)
+        (name ^ ": uncached forward images = charged queries")
+        queries !forwarded;
+      let oracle, forwarded, single = counting_net_oracle () in
+      let cache = Score_cache.create () in
+      Oracle.set_cache oracle (Some cache);
+      Alcotest.(check int) (name ^ ": cached run charges the same") queries
+        (attack oracle);
+      Alcotest.(check int)
+        (name ^ ": cached forward images = cache misses")
+        (Score_cache.stats cache).Score_cache.misses (!forwarded + !single))
+    attacks;
+  (* The program's conditions really fired: its query order differs from
+     the fixed prioritization's. *)
+  let order program =
+    let log = ref [] in
+    let oracle, _, _ = counting_net_oracle () in
+    ignore
+      (Sketch.attack ~max_queries:120
+         ~on_query:(fun _ pair _ -> log := pair :: !log)
+         oracle program ~image ~true_class:0);
+    List.rev !log
+  in
+  Alcotest.(check bool) "conditions changed the query order" false
+    (List.equal Oppsla.Pair.equal (order firing_program)
+       (order C.const_false_program))
+
+(* The width names kept for [e2ebench/] reject widths below 1 and ignore
+   every other value. *)
+let frozen_width_names () =
+  let image = Helpers.flat_image ~size 0.49 in
+  let program = C.const_false_program in
+  let attack ?batch () =
+    Sketch.attack ?batch ~max_queries:40 (Helpers.mean_threshold_oracle ())
       program ~image ~true_class:0
   in
-  let seq = run 1 in
-  List.iter
-    (fun batch ->
-      check_result (Printf.sprintf "network width %d" batch) seq (run batch))
-    [ 4; 16 ]
-
-let baselines_width_identity () =
-  let g = Prng.of_int 400 in
-  let image =
-    Tensor.rand_uniform (Prng.split g) ~lo:0.42 ~hi:0.58 [| 3; size; size |]
+  let rejects name f =
+    Alcotest.(check bool) (name ^ " rejects 0") true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
   in
-  let fixed batch =
-    Baselines.Fixed.attack ~batch
-      (Helpers.mean_threshold_oracle ())
-      ~image ~true_class:0
-  in
-  check_result "fixed" (fixed 1) (fixed 16);
-  let su_opa batch =
-    let config = { Baselines.Su_opa.population = 6; f = 0.5; max_queries = 80 } in
-    Baselines.Su_opa.attack ~config ~batch (Prng.of_int 13)
-      (Helpers.mean_threshold_oracle ())
-      ~image ~true_class:0
-  in
-  check_result "su_opa" (su_opa 1) (su_opa 16);
-  let sparse_rs batch =
-    let config = { Baselines.Sparse_rs.max_queries = 96; min_explore = 0.1 } in
-    Baselines.Sparse_rs.attack ~config ~batch (Prng.of_int 5)
-      (Helpers.mean_threshold_oracle ())
-      ~image ~true_class:0
-  in
-  check_result "sparse_rs" (sparse_rs 1) (sparse_rs 16)
+  rejects "Sketch.attack" (fun () -> attack ~batch:0 ());
+  rejects "Score.evaluate" (fun () ->
+      Oppsla.Score.evaluate ~batch:0 (Helpers.mean_threshold_oracle ())
+        program [||]);
+  rejects "Synthesizer.config.batch" (fun () ->
+      Oppsla.Synthesizer.synthesize
+        ~config:{ Oppsla.Synthesizer.default_config with batch = 0 }
+        (Prng.of_int 1)
+        (Helpers.mean_threshold_oracle ())
+        ~training:[| (image, 0) |]);
+  let plain = attack () and wide = attack ~batch:16 () in
+  Alcotest.(check int) "width 16 ignored: queries" plain.Sketch.queries
+    wide.Sketch.queries;
+  Alcotest.(check bool) "width 16 ignored: success"
+    (plain.Sketch.adversarial <> None)
+    (wide.Sketch.adversarial <> None)
 
 let suite =
   [
@@ -428,18 +431,15 @@ let suite =
     Alcotest.test_case "conv2d_gemm/_batch = direct conv2d (exact)" `Quick
       conv_gemm_agrees;
     QCheck_alcotest.to_alcotest qcheck_scores_batch_matches_single;
-    Alcotest.test_case "batcher: metering, speculation, mis-speculation"
-      `Quick batcher_metering_and_speculation;
+    Alcotest.test_case "batcher: one forward per uncached query" `Quick
+      batcher_one_forward_per_query;
     Alcotest.test_case "batcher: cache hits leave the forward pass" `Quick
       batcher_cache_excludes_hits;
     Alcotest.test_case "batcher: Budget_exhausted at the exact index" `Quick
       batcher_budget_exact_index;
-    Alcotest.test_case "batcher: width 1 degenerates to sequential" `Quick
-      batcher_width_one_never_speculates;
-    Alcotest.test_case "sketch: widths 2/4/16 = width 1 (results + traces)"
-      `Quick sketch_width_identity;
-    Alcotest.test_case "sketch: width identity on a conv-net oracle" `Quick
-      sketch_width_identity_on_network;
-    Alcotest.test_case "baselines: width 16 = width 1" `Quick
-      baselines_width_identity;
+    Alcotest.test_case
+      "attacks: forward images = charged queries (sketch, Sparse-RS, Su-OPA)"
+      `Quick forward_images_match_queries;
+    Alcotest.test_case "frozen width names: reject < 1, ignore the rest"
+      `Quick frozen_width_names;
   ]

@@ -6,7 +6,7 @@
    is bit-identical with the cache on and off.  These tests drive the
    sketch, all four baselines and a full synthesizer run (sequential and
    over a 4-domain pool) both ways and compare, plus property tests of
-   cached width-1 Batcher.query (the path every attack query takes)
+   cached Batcher.query (the path every attack query takes)
    against a fresh uncached oracle call-for-call, the clone-drops-cache
    rule, eviction accounting, and the aliasing guards. *)
 
@@ -280,11 +280,11 @@ let synthesizer_differential () =
             (run ~pool ~caches:(caches ()) ())))
     [ 1; 4 ]
 
-(* A width-1 batcher over [oracle] with [cache] attached: the
-   sequential query path attacks take, metering above the cache. *)
+(* A batcher over [oracle] with [cache] attached: the query path
+   attacks take, metering above the cache. *)
 let cached_batcher oracle cache =
   Oracle.set_cache oracle (Some cache);
-  Batcher.create ~width:1 oracle
+  Batcher.create oracle
 
 let pair_candidate image pair =
   {
@@ -292,7 +292,7 @@ let pair_candidate image pair =
     input = (fun () -> Sketch.perturb image pair);
   }
 
-(* Property test: cached width-1 Batcher.query vs a fresh uncached
+(* Property test: cached Batcher.query vs a fresh uncached
    oracle, call for call, over random pair sequences with repeats — same
    vectors, same counter, same Budget_exhausted index. *)
 
@@ -316,7 +316,7 @@ let qcheck_cached_batcher_matches_uncached =
       let uncached = Helpers.mean_threshold_oracle ?budget () in
       let cache = Score_cache.create () in
       let batcher = cached_batcher cached cache in
-      let ok = ref true and tripped = ref false in
+      let ok = ref true in
       List.iter
         (fun (row, col, corner) ->
           let pair =
@@ -324,9 +324,7 @@ let qcheck_cached_batcher_matches_uncached =
           in
           let on =
             try Ok (Batcher.query batcher (pair_candidate image pair))
-            with Oracle.Budget_exhausted b ->
-              tripped := true;
-              Error b
+            with Oracle.Budget_exhausted b -> Error b
           in
           let off =
             try Ok (Oracle.scores uncached (Sketch.perturb image pair))
@@ -340,12 +338,11 @@ let qcheck_cached_batcher_matches_uncached =
         seq;
       let s = Score_cache.stats cache in
       let lookups = s.Score_cache.hits + s.Score_cache.misses in
-      (* Every charged query was answered by a cache lookup (hit or
-         miss); only a query refused by the exhausted budget may have
-         looked up without a charge.  Distinct keys bound the misses. *)
+      (* Every charged query was answered by exactly one cache lookup
+         (hit or miss), and a query refused by the exhausted budget
+         looked nothing up.  Distinct keys bound the misses. *)
       !ok
-      && (if !tripped then lookups >= Oracle.queries cached
-          else lookups = Oracle.queries cached)
+      && lookups = Oracle.queries cached
       && s.Score_cache.misses = Score_cache.length cache)
 
 (* classify / score_of remain plain metered queries alongside a cache. *)

@@ -136,14 +136,14 @@ let oppsla_routes_by_class () =
   let image = Helpers.flat_image ~size:4 0.49 in
   let r =
     attacker.Attackers.run (Prng.of_int 1) oracle ~goal:Oppsla.Sketch.Untargeted
-      ~max_queries:10 ~batch:1 ~image ~true_class:0
+      ~max_queries:10 ~image ~true_class:0
   in
   Alcotest.(check bool) "class 0 works" true (r.Oppsla.Sketch.adversarial <> None);
   Alcotest.(check bool) "missing class raises" true
     (try
        ignore
          (attacker.Attackers.run (Prng.of_int 1) oracle
-            ~goal:Oppsla.Sketch.Untargeted ~max_queries:10 ~batch:1 ~image
+            ~goal:Oppsla.Sketch.Untargeted ~max_queries:10 ~image
             ~true_class:5);
        false
      with Invalid_argument _ -> true)

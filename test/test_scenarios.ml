@@ -23,7 +23,7 @@ let qcheck_decision_metering =
       let o = Helpers.mean_threshold_oracle () in
       Oracle.set_mode o Oracle.Decision;
       Oracle.set_cache o (Some (Score_cache.create ()));
-      let batcher = Batcher.create ~width:1 o in
+      let batcher = Batcher.create o in
       let image = Tensor.rand_uniform g ~lo:0.2 ~hi:0.8 [| 3; 4; 4 |] in
       (* The same key every time: every call after the first is a cache
          hit, and each must still cost one query. *)
