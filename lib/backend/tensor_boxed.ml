@@ -15,6 +15,8 @@ let of_tensor t = t
 let to_tensor t = t
 let shape = Tensor.shape
 let reshape = Tensor.reshape
+let copy = Tensor.copy
+let identical = Tensor.identical
 let relu = Tensor.relu
 let add = Tensor.add
 
@@ -41,6 +43,27 @@ let conv2d_batch ?pool ~stride ~pad ~weight ~bias ?norm ?(relu = false) x =
     | Some (gamma, beta, eps) -> channel_norm_batch ~gamma ~beta ~eps y
   in
   if relu then Tensor.relu y else y
+
+let conv2d_patch ~stride ~pad ~weight ~bias ~reference x =
+  let t0 = Unix.gettimeofday () in
+  let ws = Tensor.shape weight in
+  let changed =
+    Option.bind reference (fun (x0, _) ->
+        Tensor.conv2d_changed_columns ~stride ~pad ~kh:ws.(2) ~kw:ws.(3)
+          ~reference:x0 x)
+  in
+  match (reference, changed) with
+  | Some (_, y0), Some columns ->
+      let y = Tensor.conv2d_patch ~stride ~pad x ~weight ~bias ~base:y0 ~columns in
+      Telemetry.Counter.incr stats.Tensor_sig.Stats.patched;
+      Telemetry.Counter.add stats.Tensor_sig.Stats.flops
+        (2 * ws.(0) * ws.(1) * ws.(2) * ws.(3) * Array.length columns);
+      Telemetry.Histogram.observe stats.Tensor_sig.Stats.seconds
+        (Unix.gettimeofday () -. t0);
+      Some y
+  | _ ->
+      Telemetry.Counter.incr stats.Tensor_sig.Stats.patch_fallbacks;
+      None
 
 let dense_batch ~weight ~bias x =
   let t0 = Unix.gettimeofday () in

@@ -37,6 +37,14 @@ module type S = sig
   val shape : t -> int array
   val reshape : t -> int array -> t
 
+  val copy : t -> t
+  (** Fresh storage with the same shape and contents. *)
+
+  val identical : t -> t -> bool
+  (** Same shape, and every element pair equal with equal zero signs; a
+      NaN is never identical.  Decides whether a kept reference still
+      describes a tensor that may have been updated in place. *)
+
   val relu : t -> t
   val add : t -> t -> t
 
@@ -61,6 +69,24 @@ module type S = sig
       back to the single-domain kernel when the pool is absent, busy or
       width 1. *)
 
+  val conv2d_patch :
+    stride:int ->
+    pad:int ->
+    weight:t ->
+    bias:t ->
+    reference:(t * t) option ->
+    t ->
+    t option
+  (** Incremental unfused convolution of a one-image batch.
+      [~reference:(Some (x0, y0))], where [y0] is [conv2d_batch] of
+      [x0] under the same weights, asks for [conv2d_batch x] computed by
+      patching [y0]: [Some y] when the elements where [x] and [x0] are
+      not {!identical} touch at most half of the output positions — [y]
+      must then equal the full conv bit for bit — and [None] otherwise
+      or when there is no reference, in which case the caller runs
+      [conv2d_batch].  Counted in {!Stats} as [patched] or
+      [patch_fallbacks]. *)
+
   val dense_batch : weight:t -> bias:t -> t -> t
   val max_pool2d_batch : stride:int -> size:int -> t -> t
   val avg_pool2d_batch : stride:int -> size:int -> t -> t
@@ -75,9 +101,11 @@ end
    MFLOP/s = gemm_flops / gemm_seconds.sum. *)
 module Stats = struct
   type t = {
-    flops : Telemetry.Counter.t;  (* nominal 2*m*k*n multiply-adds *)
-    panels : Telemetry.Counter.t;  (* im2col panel fills (one per image) *)
+    flops : Telemetry.Counter.t;  (* 2*m*k*n multiply-adds actually run *)
+    panels : Telemetry.Counter.t;  (* full im2col panel fills (one per image) *)
     fusion_hits : Telemetry.Counter.t;  (* fused conv epilogues executed *)
+    patched : Telemetry.Counter.t;  (* first-layer convs patched from a reference *)
+    patch_fallbacks : Telemetry.Counter.t;  (* ... that ran the full conv instead *)
     seconds : Telemetry.Histogram.t;  (* wall seconds per conv/dense call *)
   }
 
@@ -87,6 +115,9 @@ module Stats = struct
       panels = Telemetry.Metrics.counter ("backend." ^ backend ^ ".panels");
       fusion_hits =
         Telemetry.Metrics.counter ("backend." ^ backend ^ ".fusion_hits");
+      patched = Telemetry.Metrics.counter ("backend." ^ backend ^ ".patched");
+      patch_fallbacks =
+        Telemetry.Metrics.counter ("backend." ^ backend ^ ".patch_fallbacks");
       seconds =
         Telemetry.Metrics.histogram ~buckets:Telemetry.Metrics.time_buckets
           ("backend." ^ backend ^ ".gemm_seconds");

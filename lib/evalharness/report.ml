@@ -142,8 +142,11 @@ let render_cache_stats (s : Score_cache.stats) =
 
 (* Per-backend tensor-engine summary, from the registry counters every
    backend maintains ({!Tensor_sig.Stats}): one row per backend that
-   actually ran a GEMM this process.  MFLOP/s is nominal multiply-add
-   work over kernel wall seconds. *)
+   actually ran a GEMM this process.  MFLOP/s is the multiply-add work
+   actually run (a patched first layer counts only its recomputed
+   columns) over kernel wall seconds.  [patched] / [patch fallbacks]
+   split the one-image first-layer convs into those patched from the
+   domain's reference and those that ran in full. *)
 let render_backend () =
   let row name =
     let c leaf =
@@ -169,6 +172,8 @@ let render_backend () =
           mflops;
           string_of_int (c "panels");
           string_of_int (c "fusion_hits");
+          string_of_int (c "patched");
+          string_of_int (c "patch_fallbacks");
           Telemetry.Fmt.f2 seconds;
         ]
   in
@@ -182,7 +187,7 @@ let render_backend () =
       ^ table
           ~headers:
             [ "backend"; "GEMM MFLOP/s"; "im2col panels"; "fusion hits";
-              "kernel (s)" ]
+              "patched"; "patch fallbacks"; "kernel (s)" ]
           ~rows)
 
 (* Attack-outcome quantiles, straight from the registry histograms the

@@ -46,7 +46,9 @@ module Make (B : Tensor_sig.S) = struct
     | Inception of step list list
     | Dense_block of step list list
 
-  type plan = { net_name : string; steps : step list }
+  type plan = { id : int; net_name : string; steps : step list }
+
+  let next_id = Atomic.make 0
 
   let backend_name = B.name
   let exact = B.exact
@@ -117,7 +119,14 @@ module Make (B : Tensor_sig.S) = struct
   let compile ~name stack =
     let steps = steps_of_layer stack in
     let steps = if B.fuse then fuse_list steps else steps in
-    { net_name = name; steps }
+    { id = Atomic.fetch_and_add next_id 1; net_name = name; steps }
+
+  (* Per-step span: the name traceprof groups the forward by, with the
+     batch width as its one argument (built only when tracing is on). *)
+  let step_span name x f =
+    Telemetry.Trace.span name ~cat:"tensor"
+      ~args:(fun () -> [ ("n", Telemetry.Trace.Int (B.shape x).(0)) ])
+      f
 
   let rec run ?pool steps x =
     List.fold_left (fun acc s -> run_step ?pool s acc) x steps
@@ -151,28 +160,100 @@ module Make (B : Tensor_sig.S) = struct
               ("out_dim", Telemetry.Trace.Int s.(0));
             ])
           (fun () -> B.dense_batch ~weight ~bias x)
-    | Relu -> B.relu x
-    | Max_pool { size; stride } -> B.max_pool2d_batch ~stride ~size x
-    | Avg_pool { size; stride } -> B.avg_pool2d_batch ~stride ~size x
-    | Global_avg_pool -> B.global_avg_pool_batch x
+    | Relu -> step_span "relu" x (fun () -> B.relu x)
+    | Max_pool { size; stride } ->
+        step_span "max_pool2d_batch" x (fun () ->
+            B.max_pool2d_batch ~stride ~size x)
+    | Avg_pool { size; stride } ->
+        step_span "avg_pool2d_batch" x (fun () ->
+            B.avg_pool2d_batch ~stride ~size x)
+    | Global_avg_pool ->
+        step_span "global_avg_pool_batch" x (fun () ->
+            B.global_avg_pool_batch x)
     | Flatten ->
-        let s = B.shape x in
-        let n = s.(0) and total = Array.fold_left ( * ) 1 s in
-        B.reshape x [| n; total / n |]
+        step_span "flatten" x (fun () ->
+            let s = B.shape x in
+            let n = s.(0) and total = Array.fold_left ( * ) 1 s in
+            B.reshape x [| n; total / n |])
     | Norm { gamma; beta } ->
-        B.channel_norm_batch ~gamma ~beta ~eps:Layer.norm_eps x
+        step_span "channel_norm_batch" x (fun () ->
+            B.channel_norm_batch ~gamma ~beta ~eps:Layer.norm_eps x)
     | Residual { body; projection } ->
         let skip =
           match projection with None -> x | Some p -> run ?pool p x
         in
-        B.add (run ?pool body x) skip
+        let y = run ?pool body x in
+        step_span "residual_add" x (fun () -> B.add y skip)
     | Inception branches ->
-        B.concat_channels_batch (List.map (fun b -> run ?pool b x) branches)
+        let ys = List.map (fun b -> run ?pool b x) branches in
+        step_span "concat_channels_batch" x (fun () ->
+            B.concat_channels_batch ys)
     | Dense_block convs ->
         List.fold_left
           (fun feat conv ->
-            B.concat_channels_batch [ feat; run ?pool conv feat ])
+            let y = run ?pool conv feat in
+            step_span "concat_channels_batch" feat (fun () ->
+                B.concat_channels_batch [ feat; y ]))
           x convs
+
+  (* Incremental first layer.  Every query an attack poses is one image
+     with a pixel or a few changed, so each domain keeps one reference
+     for a plan whose first step is an unfused conv: the last input that
+     ran that conv in full (a private copy — callers may mutate theirs),
+     its output, and a snapshot of the step's weight and bias.  The next
+     one-image call of the same plan asks the backend to patch that
+     output where the input changed ({!Tensor_sig.S.conv2d_patch}); when
+     the backend declines, the conv runs in full and the input becomes
+     the new reference.  The snapshot is compared on every call because
+     a boxed plan aliases the live parameters, which training updates
+     in place.  Nothing here changes a result bit: a patch equals the
+     full conv by the backend's contract. *)
+  type reference = {
+    plan_id : int;
+    input : B.t;
+    output : B.t;
+    weight_snap : B.t;
+    bias_snap : B.t;
+  }
+
+  let reference_slot : reference option ref Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> ref None)
+
+  let first_conv ?pool plan step ~stride ~pad ~weight ~bias x =
+    let slot = Domain.DLS.get reference_slot in
+    let reference =
+      match !slot with
+      | Some r
+        when r.plan_id = plan.id
+             && B.shape r.input = B.shape x
+             && B.identical r.weight_snap weight
+             && B.identical r.bias_snap bias ->
+          Some (r.input, r.output)
+      | _ -> None
+    in
+    let patched = ref None in
+    Telemetry.Trace.span "conv2d_patch" ~cat:"tensor"
+      ~args:(fun () ->
+        [
+          ("reference", Telemetry.Trace.Bool (Option.is_some reference));
+          ("patched", Telemetry.Trace.Bool (Option.is_some !patched));
+        ])
+      (fun () ->
+        patched := B.conv2d_patch ~stride ~pad ~weight ~bias ~reference x);
+    match !patched with
+    | Some y -> y
+    | None ->
+        let y = run_step ?pool step x in
+        slot :=
+          Some
+            {
+              plan_id = plan.id;
+              input = B.copy x;
+              output = B.copy y;
+              weight_snap = B.copy weight;
+              bias_snap = B.copy bias;
+            };
+        y
 
   let forward ?pool plan x =
     Telemetry.Trace.span "backend.forward_batch" ~cat:"tensor"
@@ -182,7 +263,15 @@ module Make (B : Tensor_sig.S) = struct
           ("net", Telemetry.Trace.Str plan.net_name);
           ("n", Telemetry.Trace.Int (B.shape x).(0));
         ])
-      (fun () -> run ?pool plan.steps x)
+      (fun () ->
+        match plan.steps with
+        | (Conv { stride; pad; weight; bias; norm = None; relu = false } as
+           first)
+          :: rest
+          when (B.shape x).(0) = 1 ->
+            run ?pool rest
+              (first_conv ?pool plan first ~stride ~pad ~weight ~bias x)
+        | steps -> run ?pool steps x)
 
   let logits_batch ?pool plan xs =
     B.to_tensor (forward ?pool plan (B.of_tensor xs))

@@ -81,14 +81,24 @@ let of_network ?budget ?(backend = Nn.Backend.Boxed) ?pool net =
       let s = Tensor.shape xs.(0) in
       if Array.length s <> 3 then
         invalid_arg "Oracle.of_network: batch entries must be CHW images";
-      let image = s.(0) * s.(1) * s.(2) in
-      let batch = Tensor.zeros [| n; s.(0); s.(1); s.(2) |] in
-      Array.iteri
-        (fun i x ->
-          if Tensor.shape x <> s then
-            invalid_arg "Oracle.of_network: mixed shapes in one batch";
-          Array.blit x.Tensor.data 0 batch.Tensor.data (i * image) image)
-        xs;
+      let batch =
+        if n = 1 then
+          (* Every uncached query is one image: view it as a batch
+             without copying.  The plan only reads its input (its
+             first-layer reference keeps a private copy). *)
+          Tensor.reshape xs.(0) [| 1; s.(0); s.(1); s.(2) |]
+        else begin
+          let image = s.(0) * s.(1) * s.(2) in
+          let batch = Tensor.zeros [| n; s.(0); s.(1); s.(2) |] in
+          Array.iteri
+            (fun i x ->
+              if Tensor.shape x <> s then
+                invalid_arg "Oracle.of_network: mixed shapes in one batch";
+              Array.blit x.Tensor.data 0 batch.Tensor.data (i * image) image)
+            xs;
+          batch
+        end
+      in
       let out = scores_nchw batch in
       let classes = Tensor.dim out 1 in
       Array.init n (fun i ->

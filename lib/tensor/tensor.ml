@@ -631,6 +631,144 @@ let conv2d_gemm_batch ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   done;
   out
 
+(* Incremental convolution: a query image that differs from a reference
+   in a few pixels only changes the output positions whose receptive
+   field holds one of them.  The scan and the patch below take a
+   one-image NCHW batch.
+
+   "Unchanged" is decided per element as equal with equal zero signs,
+   so a signed zero counts as a change and a NaN is never unchanged —
+   both could change output bits. *)
+let[@inline] same_bits (a : float) b = a = b && (a <> 0. || 1. /. a = 1. /. b)
+
+let identical a b =
+  a.shape = b.shape
+  &&
+  let ad = a.data and bd = b.data in
+  let n = Array.length ad in
+  let rec go i =
+    i >= n
+    || (same_bits (Array.unsafe_get ad i) (Array.unsafe_get bd i) && go (i + 1))
+  in
+  go 0
+
+let check_one_image name x =
+  check_rank name x 4;
+  if x.shape.(0) <> 1 then
+    invalid_arg
+      (Printf.sprintf "Tensor.%s: expected a one-image batch, got %s" name
+         (shape_to_string x.shape))
+
+let conv2d_changed_columns ?(stride = 1) ?(pad = 0) ~kh ~kw ~reference x =
+  check_one_image "conv2d_changed_columns" x;
+  if x.shape <> reference.shape then
+    fail_shape "conv2d_changed_columns" x.shape reference.shape;
+  let in_c = x.shape.(1) and h = x.shape.(2) and w = x.shape.(3) in
+  let oh = conv_out_dim h kh stride pad and ow = conv_out_dim w kw stride pad in
+  let cols = oh * ow in
+  let marked = Bytes.make cols '\000' and count = ref 0 in
+  let xd = x.data and rd = reference.data in
+  match
+    for ic = 0 to in_c - 1 do
+      for iy = 0 to h - 1 do
+        let row = ((ic * h) + iy) * w in
+        for ix = 0 to w - 1 do
+          if
+            not
+              (same_bits
+                 (Array.unsafe_get xd (row + ix))
+                 (Array.unsafe_get rd (row + ix)))
+          then begin
+            (* Output (oy, ox) reads input rows oy*stride - pad + ky for
+               ky in [0, kh), so the element at (iy, ix) lands in every
+               window with oy in [ceil((iy+pad-kh+1)/s), floor((iy+pad)/s)]
+               (columns likewise). *)
+            for oy = max 0 (div_ceil (iy + pad - kh + 1) stride)
+                to min (oh - 1) (div_floor (iy + pad) stride) do
+              for ox = max 0 (div_ceil (ix + pad - kw + 1) stride)
+                  to min (ow - 1) (div_floor (ix + pad) stride) do
+                let o = (oy * ow) + ox in
+                if Bytes.unsafe_get marked o = '\000' then begin
+                  Bytes.unsafe_set marked o '\001';
+                  incr count
+                end
+              done
+            done;
+            if 2 * !count > cols then raise_notrace Exit
+          end
+        done
+      done
+    done
+  with
+  | exception Exit -> None
+  | () ->
+      let columns = Array.make !count 0 and j = ref 0 in
+      for o = 0 to cols - 1 do
+        if Bytes.unsafe_get marked o <> '\000' then begin
+          columns.(!j) <- o;
+          incr j
+        end
+      done;
+      Some columns
+
+(* The gather-and-GEMM patch: the listed columns' im2col patches go into
+   a small [kk x a] panel, their outputs into a bias-seeded [out_c x a]
+   block, and [gemm_acc] sums each in ascending-p order — the very
+   operands and order the full conv uses for those positions, so each
+   recomputed element is bit-equal to [conv2d_gemm_batch]'s. *)
+let patch_panel : float array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
+let patch_block : float array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
+let conv2d_patch ?(stride = 1) ?(pad = 0) x ~weight ~bias ~base ~columns =
+  check_one_image "conv2d_patch" x;
+  check_rank "conv2d_patch" weight 4;
+  let in_c = x.shape.(1) and h = x.shape.(2) and w = x.shape.(3) in
+  let out_c = weight.shape.(0)
+  and kh = weight.shape.(2)
+  and kw = weight.shape.(3) in
+  if in_c <> weight.shape.(1) then fail_shape "conv2d_patch" x.shape weight.shape;
+  let oh = conv_out_dim h kh stride pad and ow = conv_out_dim w kw stride pad in
+  if base.shape <> [| 1; out_c; oh; ow |] then
+    fail_shape "conv2d_patch" base.shape [| 1; out_c; oh; ow |];
+  let cols = oh * ow and kk = in_c * kh * kw and a = Array.length columns in
+  let out = copy base in
+  if a > 0 then begin
+    let panel = scratch patch_panel (kk * a) in
+    let block = scratch patch_block (out_c * a) in
+    for jj = 0 to a - 1 do
+      let col = columns.(jj) in
+      if col < 0 || col >= cols then
+        invalid_arg "Tensor.conv2d_patch: column out of range";
+      let iy0 = ((col / ow) * stride) - pad and ix0 = (col mod ow * stride) - pad in
+      for ic = 0 to in_c - 1 do
+        for ky = 0 to kh - 1 do
+          let iy = iy0 + ky in
+          for kx = 0 to kw - 1 do
+            let ix = ix0 + kx in
+            let p = (((ic * kh) + ky) * kw) + kx in
+            panel.((p * a) + jj) <-
+              (if iy >= 0 && iy < h && ix >= 0 && ix < w then
+                 x.data.((((ic * h) + iy) * w) + ix)
+               else 0.)
+          done
+        done
+      done
+    done;
+    for oc = 0 to out_c - 1 do
+      Array.fill block (oc * a) a bias.data.(oc)
+    done;
+    gemm_acc ~m:out_c ~k:kk ~n:a weight.data panel block;
+    for oc = 0 to out_c - 1 do
+      for jj = 0 to a - 1 do
+        out.data.((oc * cols) + columns.(jj)) <- block.((oc * a) + jj)
+      done
+    done
+  end;
+  out
+
 let conv2d_backward ?(stride = 1) ?(pad = 0) ~x ~weight dout =
   let in_c = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
   let out_c = weight.shape.(0)

@@ -183,6 +183,35 @@ val conv2d_gemm_batch :
     every batch width.  Ablated against the direct loop (on a 1-image
     batch) in the micro benchmark. *)
 
+(** {2 Incremental convolution}
+
+    A query that changes a few pixels of a reference image changes only
+    the conv outputs whose receptive field holds one of them.  Both
+    kernels take one-image NCHW batches ([|1; c; h; w|]). *)
+
+val identical : t -> t -> bool
+(** Same shape, and every element pair equal with equal zero signs.  A
+    NaN is never identical to anything (conservative: callers fall back
+    to recomputing). *)
+
+val conv2d_changed_columns :
+  ?stride:int -> ?pad:int -> kh:int -> kw:int -> reference:t -> t -> int array option
+(** Output positions ([oy * ow + ox], ascending) whose [kh x kw]
+    receptive field holds an element of [x] not {!identical} to the
+    same element of [reference].  [None] as soon as more than half of
+    the [oh * ow] positions are marked (the scan stops early). *)
+
+val conv2d_patch :
+  ?stride:int -> ?pad:int -> t -> weight:t -> bias:t -> base:t -> columns:int array -> t
+(** [conv2d_patch x ~weight ~bias ~base ~columns]: a copy of [base]
+    (the [conv2d_gemm_batch ~bias:(Some bias)] output of some reference
+    image) with the listed output positions recomputed from [x] in every
+    output channel.  Their im2col patches are gathered into a small
+    panel and summed by the same bias-seeded, ascending-tap GEMM the
+    full conv runs, so whenever [columns] covers every position
+    {!conv2d_changed_columns} marks, the result is bit-equal to
+    [conv2d_gemm_batch x]. *)
+
 val conv2d_backward :
   ?stride:int ->
   ?pad:int ->

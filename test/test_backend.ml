@@ -11,7 +11,14 @@
    round-trip and the serialize golden run over both backends: weights
    written by one network load into another and must produce the same
    argmax through Network.classify, the boxed plan and the f32 plan,
-   and the boxed plan must match the training forward bit for bit. *)
+   and the boxed plan must match the training forward bit for bit.
+
+   The incremental first layer is pinned here too: the boxed patch
+   kernel equals the full conv bitwise for every diff shape, a stream of
+   one-pixel queries through a network oracle equals the training
+   forward on every zoo net, the per-domain reference survives weight
+   updates, caller mutation and interleaved domains, and a real attack
+   actually takes the patched path. *)
 
 (* Round to the nearest float32, as [of_tensor] does on the f32 path. *)
 let round32 x = Int32.float_of_bits (Int32.bits_of_float x)
@@ -296,6 +303,311 @@ let boxed_plan_matches_training_forward () =
       done)
     Nn.Zoo.names
 
+(* {1 Incremental first layer} *)
+
+let bits_equal a b =
+  Tensor.shape a = Tensor.shape b
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       a.Tensor.data b.Tensor.data
+
+let full_conv ~stride ~pad ~weight ~bias x =
+  Tensor.conv2d_gemm_batch ~stride ~pad x ~weight ~bias:(Some bias)
+
+(* Output positions whose window holds a changed element, by direct
+   indexing: the independent count the scan is checked against. *)
+let naive_changed ~stride ~pad ~kh ~kw ~reference x =
+  let s = Tensor.shape x in
+  let in_c = s.(1) and h = s.(2) and w = s.(3) in
+  let oh = ((h + (2 * pad) - kh) / stride) + 1
+  and ow = ((w + (2 * pad) - kw) / stride) + 1 in
+  let changed c iy ix =
+    let o = (((c * h) + iy) * w) + ix in
+    not
+      (Int64.equal
+         (Int64.bits_of_float (Tensor.get_flat x o))
+         (Int64.bits_of_float (Tensor.get_flat reference o)))
+  in
+  let marked = ref [] in
+  for oy = oh - 1 downto 0 do
+    for ox = ow - 1 downto 0 do
+      let hit = ref false in
+      for c = 0 to in_c - 1 do
+        for ky = 0 to kh - 1 do
+          for kx = 0 to kw - 1 do
+            let iy = (oy * stride) - pad + ky and ix = (ox * stride) - pad + kx in
+            if iy >= 0 && iy < h && ix >= 0 && ix < w && changed c iy ix then
+              hit := true
+          done
+        done
+      done;
+      if !hit then marked := ((oy * ow) + ox) :: !marked
+    done
+  done;
+  (Array.of_list !marked, oh * ow)
+
+(* Diff shapes: 0 one pixel (all channels, corner values as the sketch
+   sets them), 1 k <= 14 pixels, 2 a square patch, 3 one element turned
+   from 0.0 into -0.0 or NaN (equal as floats, or never equal). *)
+let perturb_case g ~mode x =
+  let s = Tensor.shape x in
+  let in_c = s.(1) and h = s.(2) and w = s.(3) in
+  let x0 = Tensor.copy x and x1 = Tensor.copy x in
+  let set_pixel t iy ix v =
+    for c = 0 to in_c - 1 do
+      Tensor.set t [| 0; c; iy; ix |] (v c)
+    done
+  in
+  let corner _ = if Prng.bool g then 1. else 0. in
+  (match mode with
+  | 0 -> set_pixel x1 (Prng.int g h) (Prng.int g w) corner
+  | 1 ->
+      for _ = 1 to 2 + Prng.int g 13 do
+        set_pixel x1 (Prng.int g h) (Prng.int g w) corner
+      done
+  | 2 ->
+      let r = 1 + Prng.int g 3 in
+      let y0 = Prng.int g h and x0' = Prng.int g w in
+      for iy = y0 to min (h - 1) (y0 + r - 1) do
+        for ix = x0' to min (w - 1) (x0' + r - 1) do
+          set_pixel x1 iy ix (fun _ -> Prng.float g 1.)
+        done
+      done
+  | _ ->
+      let idx = [| 0; Prng.int g in_c; Prng.int g h; Prng.int g w |] in
+      Tensor.set x0 idx 0.;
+      Tensor.set x1 idx (if Prng.bool g then -0. else Float.nan));
+  (x0, x1)
+
+let qcheck_patch_matches_full_conv =
+  QCheck.Test.make ~name:"boxed conv2d_patch = conv2d_gemm_batch, bitwise"
+    ~count:300
+    QCheck.(
+      quad (int_range 0 99999) (int_range 0 2) (pair (int_range 1 2) (int_range 0 2))
+        (int_range 0 3))
+    (fun (seed, ki, (stride, pad), mode) ->
+      let k = [| 1; 3; 5 |].(ki) in
+      let g = Prng.of_int seed in
+      let in_c = 1 + Prng.int g 3 and out_c = 1 + Prng.int g 9 in
+      let lo = max 1 (k - (2 * pad)) in
+      let h = lo + Prng.int g (13 - lo) and w = lo + Prng.int g (13 - lo) in
+      let weight = Tensor.randn g ~sigma:0.5 [| out_c; in_c; k; k |] in
+      let bias = Tensor.randn g ~sigma:0.1 [| out_c |] in
+      let x0, x1 =
+        perturb_case g ~mode (Tensor.rand_uniform g [| 1; in_c; h; w |])
+      in
+      let y0 = full_conv ~stride ~pad ~weight ~bias x0 in
+      let expect, cols = naive_changed ~stride ~pad ~kh:k ~kw:k ~reference:x0 x1 in
+      let scanned =
+        Tensor.conv2d_changed_columns ~stride ~pad ~kh:k ~kw:k ~reference:x0 x1
+      in
+      let patched =
+        Tensor_boxed.conv2d_patch ~stride ~pad ~weight ~bias
+          ~reference:(Some (x0, y0)) x1
+      in
+      Tensor_boxed.conv2d_patch ~stride ~pad ~weight ~bias ~reference:None x1
+      = None
+      &&
+      if 2 * Array.length expect <= cols then
+        scanned = Some expect
+        &&
+        match patched with
+        | Some y -> bits_equal y (full_conv ~stride ~pad ~weight ~bias x1)
+        | None -> false
+      else scanned = None && patched = None)
+
+(* A signed zero must reach the output: with bias -0.0 and a 1x1
+   identity kernel, an input of -0.0 yields -0.0 where +0.0 yields
+   +0.0, so a scan that took -0.0 for 0.0 would return the stale +0.0. *)
+let patch_sees_signed_zero () =
+  let weight = Tensor.ones [| 1; 1; 1; 1 |] and bias = Tensor.create [| 1 |] (-0.) in
+  let x0 = Tensor.zeros [| 1; 1; 4; 4 |] in
+  let y0 = full_conv ~stride:1 ~pad:0 ~weight ~bias x0 in
+  let x1 = Tensor.copy x0 in
+  Tensor.set x1 [| 0; 0; 2; 1 |] (-0.);
+  match
+    Tensor_boxed.conv2d_patch ~stride:1 ~pad:0 ~weight ~bias
+      ~reference:(Some (x0, y0)) x1
+  with
+  | None -> Alcotest.fail "a one-element change must patch"
+  | Some y ->
+      Alcotest.(check bool) "patched output keeps the -0.0" true
+        (bits_equal y (full_conv ~stride:1 ~pad:0 ~weight ~bias x1));
+      Alcotest.(check bool) "and differs from the reference there" false
+        (bits_equal y y0)
+
+let zoo_net ?(classes = 5) arch seed =
+  (Option.get (Nn.Zoo.by_name arch)) (Prng.of_int seed) ~image_size:8
+    ~num_classes:classes
+
+let training_scores net x =
+  Tensor.softmax (Nn.Layer.forward ~train:false net.Nn.Network.stack x)
+
+let patch_counter name = Telemetry.Metrics.counter ("backend.boxed." ^ name)
+
+let check_scores what expected got =
+  Alcotest.(check bool) what true (bits_equal expected got)
+
+(* Attack-shaped streams: a clean read, then queries that each change one
+   pixel of it to a corner value, with an occasional clean re-read and a
+   two-pixel query. *)
+let one_pixel_stream ~size ~seed n =
+  let g = Prng.of_int seed in
+  let clean = Tensor.rand_uniform g [| 3; size; size |] in
+  Array.init n (fun i ->
+      let x = Tensor.copy clean in
+      let touched = if i = 0 || i mod 17 = 0 then 0 else if i mod 11 = 0 then 2 else 1 in
+      for _ = 1 to touched do
+        let r = Prng.int g size and c = Prng.int g size in
+        for ch = 0 to 2 do
+          Tensor.set x [| ch; r; c |] (if Prng.bool g then 1. else 0.)
+        done
+      done;
+      x)
+
+let oracle_stream_matches_training_forward () =
+  List.iter
+    (fun arch ->
+      let net = zoo_net arch 91 in
+      let oracle = Oracle.of_network net in
+      let patched0 = Telemetry.Counter.get (patch_counter "patched")
+      and fallbacks0 = Telemetry.Counter.get (patch_counter "patch_fallbacks") in
+      Array.iteri
+        (fun i x ->
+          check_scores
+            (Printf.sprintf "%s query %d: oracle = training forward" arch i)
+            (training_scores net x) (Oracle.scores oracle x))
+        (one_pixel_stream ~size:8 ~seed:92 120);
+      Alcotest.(check (pair int int))
+        (arch ^ ": all but the first (new plan) query patched")
+        (119, 1)
+        ( Telemetry.Counter.get (patch_counter "patched") - patched0,
+          Telemetry.Counter.get (patch_counter "patch_fallbacks") - fallbacks0 ))
+    Nn.Zoo.names
+
+(* The reference must not outlive what it describes: a first-layer
+   weight updated in place (boxed plans alias live parameters) and an
+   input tensor the caller mutates after its query both still give the
+   training forward. *)
+let reference_invalidation () =
+  let net = zoo_net "vgg_tiny" 93 in
+  let oracle = Oracle.of_network net in
+  let xs = one_pixel_stream ~size:8 ~seed:94 4 in
+  let check what x =
+    check_scores what (training_scores net x) (Oracle.scores oracle x)
+  in
+  check "clean read" xs.(0);
+  check "one-pixel query" xs.(1);
+  let rec first_conv l =
+    match Nn.Layer.view l with
+    | Nn.Layer.V_conv { weight; _ } -> Some weight
+    | Nn.Layer.V_seq ls -> List.find_map first_conv ls
+    | _ -> None
+  in
+  let weight = Option.get (first_conv net.Nn.Network.stack) in
+  Tensor.set_flat weight 4 (Tensor.get_flat weight 4 +. 0.25);
+  check "after an in-place weight update" xs.(2);
+  check "and the next one-pixel query" xs.(3);
+  (* The caller's tensor becomes the reference on a full conv; mutating
+     it afterwards must not move the kept copy. *)
+  let mine = Tensor.rand_uniform (Prng.of_int 99) [| 3; 8; 8 |] in
+  check "a fresh image (full conv)" mine;
+  Tensor.set_flat mine 1 0.75;
+  check "the same tensor, mutated by its caller" mine;
+  Tensor.set_flat mine 1 0.25;
+  Tensor.set_flat mine 2 0.125;
+  check "mutated again" mine
+
+(* One plan, four domains, three images interleaved in runs of four
+   queries: each domain keeps its own reference, so every pooled answer
+   equals the sequential one, and both the patched and the full path
+   run on the workers. *)
+let domains_interleave_images () =
+  let size = 8 in
+  let net = zoo_net "vgg_tiny" 95 in
+  let plan =
+    Nn.Backend.Boxed_engine.compile ~name:"vgg_tiny" net.Nn.Network.stack
+  in
+  let streams =
+    Array.init 3 (fun i -> one_pixel_stream ~size ~seed:(96 + i) 40)
+  in
+  let jobs =
+    Array.init 120 (fun j ->
+        let run = j / 4 in
+        streams.(run mod 3).((run / 3 * 4) + (j mod 4)))
+  in
+  let score x =
+    Nn.Backend.Boxed_engine.scores_batch plan
+      (Tensor.reshape x [| 1; 3; size; size |])
+  in
+  let patched0 = Telemetry.Counter.get (patch_counter "patched")
+  and fallbacks0 = Telemetry.Counter.get (patch_counter "patch_fallbacks") in
+  let pooled =
+    Domain_pool.Pool.with_pool ~domains:4 (fun pool ->
+        Domain_pool.Pool.map pool score jobs)
+  in
+  Alcotest.(check bool) "the pooled run patched" true
+    (Telemetry.Counter.get (patch_counter "patched") > patched0);
+  Alcotest.(check bool) "and ran full convs" true
+    (Telemetry.Counter.get (patch_counter "patch_fallbacks") > fallbacks0);
+  Array.iteri
+    (fun j x ->
+      let seq = score x in
+      check_scores
+        (Printf.sprintf "job %d: pooled = sequential" j)
+        seq pooled.(j);
+      check_scores
+        (Printf.sprintf "job %d: = training forward" j)
+        (Tensor.reshape (training_scores net x) [| 1; 5 |])
+        seq)
+    jobs
+
+(* The path fires on a real attack: every forward image of a vgg_tiny
+   sketch attack is either patched or a counted fallback, and only the
+   clean read runs the full first conv — a silent fallback fails here. *)
+let sketch_attack_patches () =
+  let size = 8 in
+  let net = zoo_net ~classes:10 "vgg_tiny" 97 in
+  let plan = Nn.Backend.Boxed_engine.compile ~name:"vgg_tiny" net.Nn.Network.stack in
+  let images = ref 0 in
+  let fwd x =
+    incr images;
+    Tensor.reshape
+      (Nn.Backend.Boxed_engine.scores_batch plan
+         (Tensor.reshape x [| 1; 3; size; size |]))
+      [| 10 |]
+  in
+  let oracle =
+    Oracle.of_fn ~name:"vgg_tiny" ~num_classes:10 ~batch_fn:(Array.map fwd) fwd
+  in
+  let image = Tensor.rand_uniform (Prng.of_int 98) [| 3; size; size |] in
+  let true_class = Nn.Network.classify net image in
+  let patched0 = Telemetry.Counter.get (patch_counter "patched")
+  and fallbacks0 = Telemetry.Counter.get (patch_counter "patch_fallbacks") in
+  let program =
+    Oppsla.Condition.
+      {
+        b1 = Cmp { func = Avg Pert; cmp = Gt; threshold = 0.5 };
+        b2 = Const false;
+        b3 = Const false;
+        b4 = Const true;
+      }
+  in
+  let result =
+    Oppsla.Sketch.attack ~max_queries:200 oracle program ~image ~true_class
+  in
+  let patched = Telemetry.Counter.get (patch_counter "patched") - patched0
+  and fallbacks =
+    Telemetry.Counter.get (patch_counter "patch_fallbacks") - fallbacks0
+  in
+  Alcotest.(check int) "forward images = charged queries + the clean read"
+    (result.Oppsla.Sketch.queries + 1)
+    !images;
+  Alcotest.(check bool) "patched > 0" true (patched > 0);
+  Alcotest.(check int) "patched + fallbacks = forward images" !images
+    (patched + fallbacks);
+  Alcotest.(check int) "only the clean read runs the full conv" 1 fallbacks
+
 let suite =
   [
     Alcotest.test_case "boxed plan = training forward on every zoo net" `Quick
@@ -309,4 +621,14 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_f32_reshape_preserves_flat;
     QCheck_alcotest.to_alcotest qcheck_fusion_f32;
     QCheck_alcotest.to_alcotest qcheck_fusion_boxed;
+    QCheck_alcotest.to_alcotest qcheck_patch_matches_full_conv;
+    Alcotest.test_case "patch keeps a signed zero" `Quick patch_sees_signed_zero;
+    Alcotest.test_case "one-pixel oracle stream = training forward, every zoo net"
+      `Quick oracle_stream_matches_training_forward;
+    Alcotest.test_case "reference survives weight and input mutation" `Quick
+      reference_invalidation;
+    Alcotest.test_case "4 domains interleaving images = sequential" `Quick
+      domains_interleave_images;
+    Alcotest.test_case "vgg_tiny sketch attack takes the patched path" `Quick
+      sketch_attack_patches;
   ]
