@@ -410,8 +410,9 @@ let bench_cache ?(smoke = false) quick =
 (* Inference-engine benchmark.
 
    Pits the per-candidate direct-convolution training forward
-   (Layer.forward ~train:false) against the compiled boxed plan's
-   im2col+GEMM engine, one forward image per uncached query, with the
+   (Layer.forward ~train:false) against the compiled boxed plan (the
+   arena engine: implicit-GEMM convs), one forward image per uncached
+   query, with the
    score cache on and off, on a Sketch+False attack workload.  Every
    combination must produce bit-identical per-image query counts, and
    the uncached GEMM engine must beat the direct-convolution baseline by
@@ -616,8 +617,8 @@ let bench_batch ?(smoke = false) quick =
           \  \"speedup_gemm_vs_direct\": %.2f,\n\
           \  \"note\": \"direct-sequential is the per-candidate \
            direct-convolution training forward; gemm rows run the \
-           compiled im2col+GEMM plan, one forward image per uncached \
-           query.  Per-image query counts are asserted bit-identical \
+           compiled boxed plan (arena, implicit-GEMM convs), one \
+           forward image per uncached query.  Per-image query counts are asserted bit-identical \
            across every row\",\n\
           \  \"runs\": [\n"
           n_images image_size image_size max_queries speedup;
@@ -1841,11 +1842,10 @@ let bench_scenarios ?(smoke = false) quick =
 
 (* Tensor-backend benchmark (the `backend` mode).
 
-   Boxed (float64 layer-engine) vs f32 (flat float32 Bigarray plan with
-   blocked GEMM, fused conv epilogues and pool row-panel dispatch) on a
-   conv-dominated workload shaped to be memory-bound: at 32x32 with
-   32-channel convs the im2col patch matrix is 2.25 MB in float64 —
-   past this host's L2 — and 1.1 MB in float32.
+   Boxed (the float64 arena plan, implicit-GEMM convs) vs f32 (flat
+   float32 Bigarray plan with im2col + blocked GEMM, fused conv
+   epilogues and pool row-panel dispatch) on a conv-dominated workload:
+   at 32x32 with 32-channel convs f32's im2col patch matrix is 1.1 MB.
 
    Two kinds of measurement, both over the same deterministic corpus:
 

@@ -50,24 +50,6 @@ let reshape t shape =
     invalid_arg "Tensor_f32.reshape: element count mismatch";
   { shape = Array.copy shape; data = t.data }
 
-let copy t =
-  let c = create t.shape in
-  Bigarray.Array1.blit t.data c.data;
-  c
-
-let identical a b =
-  a.shape = b.shape
-  &&
-  let n = numel a in
-  let rec go i =
-    i >= n
-    ||
-    let x = Bigarray.Array1.unsafe_get a.data i
-    and y = Bigarray.Array1.unsafe_get b.data i in
-    x = y && (x <> 0. || 1. /. x = 1. /. y) && go (i + 1)
-  in
-  go 0
-
 let of_tensor (src : Tensor.t) =
   let t = create (Tensor.shape src) in
   let d = t.data and s = src.Tensor.data in
@@ -573,13 +555,6 @@ let conv2d_batch ?pool ~stride ~pad ~weight ~bias ?norm ?(relu = false) x =
   Telemetry.Histogram.observe stats.Tensor_sig.Stats.seconds
     (Unix.gettimeofday () -. t0);
   out
-
-(* No incremental path here.  The plan compiler fuses every zoo net's
-   first conv with the norm/relu behind it, and a patch of the fused
-   step would have to re-derive the per-image channel statistics of the
-   whole map, which every output position feeds — so this backend keeps
-   its full fused conv→norm→relu and always declines. *)
-let conv2d_patch ~stride:_ ~pad:_ ~weight:_ ~bias:_ ~reference:_ _ = None
 
 let dense_batch ~weight ~bias x =
   if Array.length x.shape <> 2 || Array.length weight.shape <> 2 then

@@ -1,12 +1,13 @@
-(* The TENSOR signature the nn plan compiler is functorized over.
+(* The TENSOR signature the [Nn.Backend.Make] plan compiler is
+   functorized over.
 
    A backend supplies batched (NCHW) inference kernels over an abstract
-   activation type.  Two implementations exist: [Tensor_boxed] (the
-   reference — float64 [Tensor] kernels, so a compiled boxed plan is
-   bit-identical to the training forward by construction) and
-   [Tensor_f32] (flat [Bigarray] float32 storage with an explicit shape
-   descriptor — the Manticore flat-data-plus-shape idiom — a blocked
-   register-tiled GEMM, and fused conv→norm→relu).
+   activation type.  One implementation exists: [Tensor_f32] (flat
+   [Bigarray] float32 storage with an explicit shape descriptor — the
+   Manticore flat-data-plus-shape idiom — a blocked register-tiled GEMM,
+   and fused conv→norm→relu).  The boxed float64 engine does not go
+   through this signature: [Nn.Backend.Boxed_engine] runs its plan on
+   the [Tensor] arena kernels directly.
 
    Weights enter a plan as ordinary float64 [Tensor.t]s and are
    converted once at compile time via [of_tensor]; activations cross the
@@ -23,7 +24,7 @@ module type S = sig
 
   val exact : bool
   (** True when the backend's kernels are bit-identical to the boxed
-      reference path; false relaxes the differential contract to the
+      engine; false relaxes the differential contract to the
       tolerance policy (argmax/success/query identity + |Δ| ≤ tol). *)
 
   val fuse : bool
@@ -36,14 +37,6 @@ module type S = sig
   val to_tensor : t -> Tensor.t
   val shape : t -> int array
   val reshape : t -> int array -> t
-
-  val copy : t -> t
-  (** Fresh storage with the same shape and contents. *)
-
-  val identical : t -> t -> bool
-  (** Same shape, and every element pair equal with equal zero signs; a
-      NaN is never identical.  Decides whether a kept reference still
-      describes a tensor that may have been updated in place. *)
 
   val relu : t -> t
   val add : t -> t -> t
@@ -69,24 +62,6 @@ module type S = sig
       back to the single-domain kernel when the pool is absent, busy or
       width 1. *)
 
-  val conv2d_patch :
-    stride:int ->
-    pad:int ->
-    weight:t ->
-    bias:t ->
-    reference:(t * t) option ->
-    t ->
-    t option
-  (** Incremental unfused convolution of a one-image batch.
-      [~reference:(Some (x0, y0))], where [y0] is [conv2d_batch] of
-      [x0] under the same weights, asks for [conv2d_batch x] computed by
-      patching [y0]: [Some y] when the elements where [x] and [x0] are
-      not {!identical} touch at most half of the output positions — [y]
-      must then equal the full conv bit for bit — and [None] otherwise
-      or when there is no reference, in which case the caller runs
-      [conv2d_batch].  Counted in {!Stats} as [patched] or
-      [patch_fallbacks]. *)
-
   val dense_batch : weight:t -> bias:t -> t -> t
   val max_pool2d_batch : stride:int -> size:int -> t -> t
   val avg_pool2d_batch : stride:int -> size:int -> t -> t
@@ -96,14 +71,14 @@ module type S = sig
   val softmax_rows : t -> t
 end
 
-(* Per-backend GEMM instrumentation, shared by every implementation:
+(* Per-backend GEMM instrumentation, shared by both engines:
    the Report "backend" section renders one row per backend that ran.
    MFLOP/s = gemm_flops / gemm_seconds.sum. *)
 module Stats = struct
   type t = {
     flops : Telemetry.Counter.t;  (* 2*m*k*n multiply-adds actually run *)
-    panels : Telemetry.Counter.t;  (* full im2col panel fills (one per image) *)
-    fusion_hits : Telemetry.Counter.t;  (* fused conv epilogues executed *)
+    panels : Telemetry.Counter.t;  (* full-image conv passes *)
+    fusion_hits : Telemetry.Counter.t;  (* fused epilogues executed *)
     patched : Telemetry.Counter.t;  (* first-layer convs patched from a reference *)
     patch_fallbacks : Telemetry.Counter.t;  (* ... that ran the full conv instead *)
     seconds : Telemetry.Histogram.t;  (* wall seconds per conv/dense call *)

@@ -144,9 +144,10 @@ let render_cache_stats (s : Score_cache.stats) =
    backend maintains ({!Tensor_sig.Stats}): one row per backend that
    actually ran a GEMM this process.  MFLOP/s is the multiply-add work
    actually run (a patched first layer counts only its recomputed
-   columns) over kernel wall seconds.  [patched] / [patch fallbacks]
-   split the one-image first-layer convs into those patched from the
-   domain's reference and those that ran in full. *)
+   positions) over kernel wall seconds.  [conv passes] counts
+   full-image convolutions; [patched] / [patch fallbacks] split the
+   first-layer convs of the boxed plan's images into those patched from
+   the domain's reference and those that ran in full. *)
 let render_backend () =
   let row name =
     let c leaf =
@@ -186,7 +187,7 @@ let render_backend () =
       ("Tensor backends\n"
       ^ table
           ~headers:
-            [ "backend"; "GEMM MFLOP/s"; "im2col panels"; "fusion hits";
+            [ "backend"; "GEMM MFLOP/s"; "conv passes"; "fusion hits";
               "patched"; "patch fallbacks"; "kernel (s)" ]
           ~rows)
 

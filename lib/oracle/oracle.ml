@@ -65,46 +65,43 @@ let of_network ?budget ?(backend = Nn.Backend.Boxed) ?pool net =
      accounting is backend-independent by construction — the meter sits
      above this function. *)
   let name = net.Nn.Network.name and stack = net.Nn.Network.stack in
-  let scores_nchw =
+  let fn_batch =
     match backend with
     | Nn.Backend.Boxed ->
+        (* Each image runs in the domain's arena; only its score vector
+           is copied out. *)
         let plan = Nn.Backend.Boxed_engine.compile ~name stack in
-        fun batch -> Nn.Backend.Boxed_engine.scores_batch plan batch
+        Nn.Backend.Boxed_engine.scores_each plan
     | Nn.Backend.F32 ->
         let plan = Nn.Backend.F32_engine.compile ~name stack in
-        fun batch -> Nn.Backend.F32_engine.scores_batch ?pool plan batch
-  in
-  let fn_batch xs =
-    let n = Array.length xs in
-    if n = 0 then [||]
-    else begin
-      let s = Tensor.shape xs.(0) in
-      if Array.length s <> 3 then
-        invalid_arg "Oracle.of_network: batch entries must be CHW images";
-      let batch =
-        if n = 1 then
-          (* Every uncached query is one image: view it as a batch
-             without copying.  The plan only reads its input (its
-             first-layer reference keeps a private copy). *)
-          Tensor.reshape xs.(0) [| 1; s.(0); s.(1); s.(2) |]
-        else begin
-          let image = s.(0) * s.(1) * s.(2) in
-          let batch = Tensor.zeros [| n; s.(0); s.(1); s.(2) |] in
-          Array.iteri
-            (fun i x ->
-              if Tensor.shape x <> s then
-                invalid_arg "Oracle.of_network: mixed shapes in one batch";
-              Array.blit x.Tensor.data 0 batch.Tensor.data (i * image) image)
-            xs;
-          batch
-        end
-      in
-      let out = scores_nchw batch in
-      let classes = Tensor.dim out 1 in
-      Array.init n (fun i ->
-          Tensor.init [| classes |] (fun j ->
-              Tensor.get_flat out ((i * classes) + j)))
-    end
+        fun xs ->
+          let n = Array.length xs in
+          if n = 0 then [||]
+          else begin
+            let s = Tensor.shape xs.(0) in
+            if Array.length s <> 3 then
+              invalid_arg "Oracle.of_network: batch entries must be CHW images";
+            let batch =
+              if n = 1 then Tensor.reshape xs.(0) [| 1; s.(0); s.(1); s.(2) |]
+              else begin
+                let image = s.(0) * s.(1) * s.(2) in
+                let batch = Tensor.zeros [| n; s.(0); s.(1); s.(2) |] in
+                Array.iteri
+                  (fun i x ->
+                    if Tensor.shape x <> s then
+                      invalid_arg "Oracle.of_network: mixed shapes in one batch";
+                    Array.blit x.Tensor.data 0 batch.Tensor.data (i * image)
+                      image)
+                  xs;
+                batch
+              end
+            in
+            let out = Nn.Backend.F32_engine.scores_batch ?pool plan batch in
+            let classes = Tensor.dim out 1 in
+            Array.init n (fun i ->
+                Tensor.init [| classes |] (fun j ->
+                    Tensor.get_flat out ((i * classes) + j)))
+          end
   in
   {
     fn = (fun x -> (fn_batch [| x |]).(0));

@@ -38,8 +38,9 @@ val of_network :
   t
 (** Network-backed oracle.  The network is compiled once into a
     {!Nn.Backend} plan and every forward runs through it: {!eval_batch}
-    as one forward pass for the whole array, single-image queries as a
-    batch of one.  [?backend] (default [Boxed])
+    as one forward call for the whole array (the boxed plan runs it
+    image by image in the domain's arena and copies out only each score
+    vector), single-image queries as a batch of one.  [?backend] (default [Boxed])
     selects the tensor engine: [Boxed] is the float64 reference plan
     ({!Nn.Backend.Boxed_engine}, the engine behind {!Nn.Network.scores}),
     [F32] the float32 Bigarray plan ({!Nn.Backend.F32_engine}) —

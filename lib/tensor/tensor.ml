@@ -360,24 +360,6 @@ let matmul_nt a b =
   done;
   out
 
-(* Batched dense layer: rows of [x] are images, [weight] is
-   [out_dim; in_dim], [bias] is added per output element AFTER the
-   matmul_nt reduction.  Every tensor backend (boxed and unboxed alike)
-   shares this one definition of the dense-layer arithmetic; row [i] is
-   bit-equal to [add (matvec weight x_i) bias]. *)
-let dense_batch x ~weight ~bias =
-  let y = matmul_nt x weight in
-  let n = y.shape.(0) and out_dim = y.shape.(1) in
-  if bias.shape.(0) <> out_dim then fail_shape "dense_batch" weight.shape bias.shape;
-  let yd = y.data and bd = bias.data in
-  for img = 0 to n - 1 do
-    let off = img * out_dim in
-    for j = 0 to out_dim - 1 do
-      yd.(off + j) <- yd.(off + j) +. bd.(j)
-    done
-  done;
-  y
-
 let matvec a x =
   check_rank "matvec" a 2;
   check_rank "matvec" x 1;
@@ -631,16 +613,9 @@ let conv2d_gemm_batch ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   done;
   out
 
-(* Incremental convolution: a query image that differs from a reference
-   in a few pixels only changes the output positions whose receptive
-   field holds one of them.  The scan and the patch below take a
-   one-image NCHW batch.
-
-   "Unchanged" is decided per element as equal with equal zero signs,
-   so a signed zero counts as a change and a NaN is never unchanged —
-   both could change output bits. *)
-let[@inline] same_bits (a : float) b = a = b && (a <> 0. || 1. /. a = 1. /. b)
-
+(* Bitwise equality: same shape and the same 64 bits in every element,
+   so a signed zero differs from its opposite and a NaN equals only a
+   NaN with the same payload. *)
 let identical a b =
   a.shape = b.shape
   &&
@@ -648,36 +623,240 @@ let identical a b =
   let n = Array.length ad in
   let rec go i =
     i >= n
-    || (same_bits (Array.unsafe_get ad i) (Array.unsafe_get bd i) && go (i + 1))
+    || Int64.equal
+         (Int64.bits_of_float (Array.unsafe_get ad i))
+         (Int64.bits_of_float (Array.unsafe_get bd i))
+       && go (i + 1)
   in
   go 0
 
-let check_one_image name x =
-  check_rank name x 4;
-  if x.shape.(0) <> 1 then
-    invalid_arg
-      (Printf.sprintf "Tensor.%s: expected a one-image batch, got %s" name
-         (shape_to_string x.shape))
+(* Arena kernels.  A [region] is a CHW activation at a fixed slice of
+   one flat float array, each channel plane framed by a zero border of
+   [border] elements on every side.  The kernels below read and write
+   regions in place: a producer writes only the interior of its
+   destination, so a border laid down as zeros once stays zero, and a
+   conv reading a bordered source finds its padding already in memory. *)
 
-let conv2d_changed_columns ?(stride = 1) ?(pad = 0) ~kh ~kw ~reference x =
-  check_one_image "conv2d_changed_columns" x;
-  if x.shape <> reference.shape then
-    fail_shape "conv2d_changed_columns" x.shape reference.shape;
-  let in_c = x.shape.(1) and h = x.shape.(2) and w = x.shape.(3) in
+type region = { off : int; c : int; h : int; w : int; border : int }
+
+let region_row r = r.w + (2 * r.border)
+let region_plane r = (r.h + (2 * r.border)) * region_row r
+let region_size r = r.c * region_plane r
+
+(* Flat index of interior element (0, y, 0). *)
+let[@inline] region_at r y = r.off + ((y + r.border) * region_row r) + r.border
+
+let region_index r ch y = (ch * region_plane r) + region_at r y
+
+(* Offset of tap p = (ic, ky, kx) from a window's top-left corner in
+   [src]: [ic * plane + ky * row + kx], in ascending-p order. *)
+let conv2d_taps ~src ~kh ~kw =
+  let row = region_row src and plane = region_plane src in
+  Array.init (src.c * kh * kw) (fun p ->
+      let ic = p / (kh * kw) and r = p mod (kh * kw) in
+      (ic * plane) + (r / kw * row) + (r mod kw))
+
+(* Every kernel below validates its regions against the arena and the
+   weights once per call, then runs on unsafe accesses. *)
+let check_region name a r =
+  if r.off < 0 || r.c < 0 || r.h < 0 || r.w < 0 || r.border < 0
+     || r.off + region_size r > Array.length a
+  then invalid_arg ("Tensor." ^ name ^ ": region outside the arena")
+
+let check_span name a off n =
+  if off < 0 || n < 0 || off + n > Array.length a then
+    invalid_arg ("Tensor." ^ name ^ ": slice outside the arena")
+
+let check_conv name a ~taps ~stride ~pad ~weight ~bias ~src ~dst =
+  check_region name a src;
+  check_region name a dst;
+  let ws = weight.shape in
+  let k = Array.length taps in
+  if
+    Array.length ws <> 4 || ws.(0) <> dst.c || ws.(1) <> src.c
+    || k <> ws.(1) * ws.(2) * ws.(3)
+    || Array.length bias.data <> ws.(0)
+    || src.border < pad || stride < 1
+    || dst.h <> conv_out_dim src.h ws.(2) stride pad
+    || dst.w <> conv_out_dim src.w ws.(3) stride pad
+    || (k > 0
+       && (taps.(0) <> 0
+          || taps.(k - 1)
+             <> ((ws.(1) - 1) * region_plane src)
+                + ((ws.(2) - 1) * region_row src)
+                + ws.(3) - 1))
+  then invalid_arg ("Tensor." ^ name ^ ": regions, taps and weight disagree")
+
+(* Implicit-GEMM convolution: output (oc, oy, ox) is the bias plus
+   Σ_p weight[oc, p] * src[window(oy, ox) + taps.(p)], summed in
+   ascending p over the bordered source — the operands and the order
+   [conv2d_gemm_batch] feeds [gemm_acc] from its im2col panel, padding
+   zeros included, so every element is bit-equal to it.  A 2-row x
+   4-column register tile (eight accumulators, two weights and four
+   inputs live per tap) with a column tail and an odd-row tail. *)
+let conv2d_into a ~taps ~stride ~pad ~weight ~bias ~src ~dst =
+  check_conv "conv2d_into" a ~taps ~stride ~pad ~weight ~bias ~src ~dst;
+  let k = Array.length taps in
+  let wd = weight.data and bd = bias.data in
+  let out_c = dst.c and oh = dst.h and ow = dst.w in
+  let srow = region_row src and shift = src.border - pad in
+  let dplane = region_plane dst in
+  for oy = 0 to oh - 1 do
+    let s_row = src.off + (((oy * stride) + shift) * srow) + shift in
+    let d_row = region_at dst oy in
+    let oc = ref 0 in
+    while !oc + 2 <= out_c do
+      let o0 = !oc in
+      let w0 = o0 * k and w1 = (o0 + 1) * k in
+      let d0 = d_row + (o0 * dplane) in
+      let d1 = d0 + dplane in
+      let b0 = Array.unsafe_get bd o0 and b1 = Array.unsafe_get bd (o0 + 1) in
+      let ox = ref 0 in
+      while !ox + 4 <= ow do
+        let x0 = !ox in
+        let s0 = s_row + (x0 * stride) in
+        let s1 = s0 + stride in
+        let s2 = s1 + stride in
+        let s3 = s2 + stride in
+        let c00 = ref b0 and c01 = ref b0 and c02 = ref b0 and c03 = ref b0
+        and c10 = ref b1 and c11 = ref b1 and c12 = ref b1 and c13 = ref b1 in
+        if stride = 1 then
+          (* Unit stride: the four inputs sit at constant offsets from
+             one index, which the loads fold into their displacement. *)
+          for p = 0 to k - 1 do
+            let i = s0 + Array.unsafe_get taps p in
+            let v0 = Array.unsafe_get wd (w0 + p)
+            and v1 = Array.unsafe_get wd (w1 + p)
+            and x0 = Array.unsafe_get a i
+            and x1 = Array.unsafe_get a (i + 1)
+            and x2 = Array.unsafe_get a (i + 2)
+            and x3 = Array.unsafe_get a (i + 3) in
+            c00 := !c00 +. (v0 *. x0);
+            c01 := !c01 +. (v0 *. x1);
+            c02 := !c02 +. (v0 *. x2);
+            c03 := !c03 +. (v0 *. x3);
+            c10 := !c10 +. (v1 *. x0);
+            c11 := !c11 +. (v1 *. x1);
+            c12 := !c12 +. (v1 *. x2);
+            c13 := !c13 +. (v1 *. x3)
+          done
+        else
+          for p = 0 to k - 1 do
+            let t = Array.unsafe_get taps p in
+            let v0 = Array.unsafe_get wd (w0 + p)
+            and v1 = Array.unsafe_get wd (w1 + p)
+            and x0 = Array.unsafe_get a (s0 + t)
+            and x1 = Array.unsafe_get a (s1 + t)
+            and x2 = Array.unsafe_get a (s2 + t)
+            and x3 = Array.unsafe_get a (s3 + t) in
+            c00 := !c00 +. (v0 *. x0);
+            c01 := !c01 +. (v0 *. x1);
+            c02 := !c02 +. (v0 *. x2);
+            c03 := !c03 +. (v0 *. x3);
+            c10 := !c10 +. (v1 *. x0);
+            c11 := !c11 +. (v1 *. x1);
+            c12 := !c12 +. (v1 *. x2);
+            c13 := !c13 +. (v1 *. x3)
+          done;
+        Array.unsafe_set a (d0 + x0) !c00;
+        Array.unsafe_set a (d0 + x0 + 1) !c01;
+        Array.unsafe_set a (d0 + x0 + 2) !c02;
+        Array.unsafe_set a (d0 + x0 + 3) !c03;
+        Array.unsafe_set a (d1 + x0) !c10;
+        Array.unsafe_set a (d1 + x0 + 1) !c11;
+        Array.unsafe_set a (d1 + x0 + 2) !c12;
+        Array.unsafe_set a (d1 + x0 + 3) !c13;
+        ox := x0 + 4
+      done;
+      for x0 = !ox to ow - 1 do
+        let s0 = s_row + (x0 * stride) in
+        let c0 = ref b0 and c1 = ref b1 in
+        for p = 0 to k - 1 do
+          let xv = Array.unsafe_get a (s0 + Array.unsafe_get taps p) in
+          c0 := !c0 +. (Array.unsafe_get wd (w0 + p) *. xv);
+          c1 := !c1 +. (Array.unsafe_get wd (w1 + p) *. xv)
+        done;
+        Array.unsafe_set a (d0 + x0) !c0;
+        Array.unsafe_set a (d1 + x0) !c1
+      done;
+      oc := o0 + 2
+    done;
+    if !oc < out_c then begin
+      let o0 = !oc in
+      let w0 = o0 * k and d0 = d_row + (o0 * dplane) in
+      let b0 = Array.unsafe_get bd o0 in
+      for x0 = 0 to ow - 1 do
+        let s0 = s_row + (x0 * stride) in
+        let c0 = ref b0 in
+        for p = 0 to k - 1 do
+          c0 :=
+            !c0
+            +. Array.unsafe_get wd (w0 + p)
+               *. Array.unsafe_get a (s0 + Array.unsafe_get taps p)
+        done;
+        Array.unsafe_set a (d0 + x0) !c0
+      done
+    end
+  done
+
+(* The same sum for the output positions [columns.(0 .. count-1)]
+   (each [oy * ow + ox]) only, every output channel: the incremental
+   first layer's patch. *)
+let conv2d_patch_into a ~taps ~stride ~pad ~weight ~bias ~src ~dst ~columns
+    ~count =
+  check_conv "conv2d_patch_into" a ~taps ~stride ~pad ~weight ~bias ~src ~dst;
+  if count < 0 || count > Array.length columns then
+    invalid_arg "Tensor.conv2d_patch_into: count out of range";
+  let k = Array.length taps in
+  let wd = weight.data and bd = bias.data in
+  let ow = dst.w and srow = region_row src and shift = src.border - pad in
+  let dplane = region_plane dst in
+  for jj = 0 to count - 1 do
+    let col = columns.(jj) in
+    if col < 0 || col >= dst.h * ow then
+      invalid_arg "Tensor.conv2d_patch_into: column out of range";
+    let oy = col / ow and ox = col mod ow in
+    let s0 = src.off + (((oy * stride) + shift) * srow) + (ox * stride) + shift in
+    let d0 = region_at dst oy + ox in
+    for oc = 0 to dst.c - 1 do
+      let w0 = oc * k in
+      let c0 = ref (Array.unsafe_get bd oc) in
+      for p = 0 to k - 1 do
+        c0 :=
+          !c0
+          +. Array.unsafe_get wd (w0 + p)
+             *. Array.unsafe_get a (s0 + Array.unsafe_get taps p)
+      done;
+      Array.unsafe_set a (d0 + (oc * dplane)) !c0
+    done
+  done
+
+(* Equal with equal zero signs: a signed zero counts as a change and a
+   NaN is never unchanged — both could change output bits. *)
+let[@inline] same_bits (a : float) b = a = b && (a <> 0. || 1. /. a = 1. /. b)
+
+let conv2d_changed_columns ~stride ~pad ~kh ~kw ~c ~h ~w ~marks ~columns x
+    ~xoff reference ~roff =
   let oh = conv_out_dim h kh stride pad and ow = conv_out_dim w kw stride pad in
   let cols = oh * ow in
-  let marked = Bytes.make cols '\000' and count = ref 0 in
-  let xd = x.data and rd = reference.data in
+  if Bytes.length marks < cols || Array.length columns < cols then
+    invalid_arg "Tensor.conv2d_changed_columns: scratch smaller than oh * ow";
+  if
+    xoff + (c * h * w) > Array.length x
+    || roff + (c * h * w) > Array.length reference
+  then invalid_arg "Tensor.conv2d_changed_columns: image out of range";
+  Bytes.fill marks 0 cols '\000';
+  let count = ref 0 in
   match
-    for ic = 0 to in_c - 1 do
+    for ic = 0 to c - 1 do
       for iy = 0 to h - 1 do
         let row = ((ic * h) + iy) * w in
         for ix = 0 to w - 1 do
           if
             not
               (same_bits
-                 (Array.unsafe_get xd (row + ix))
-                 (Array.unsafe_get rd (row + ix)))
+                 (Array.unsafe_get x (xoff + row + ix))
+                 (Array.unsafe_get reference (roff + row + ix)))
           then begin
             (* Output (oy, ox) reads input rows oy*stride - pad + ky for
                ky in [0, kh), so the element at (iy, ix) lands in every
@@ -688,8 +867,8 @@ let conv2d_changed_columns ?(stride = 1) ?(pad = 0) ~kh ~kw ~reference x =
               for ox = max 0 (div_ceil (ix + pad - kw + 1) stride)
                   to min (ow - 1) (div_floor (ix + pad) stride) do
                 let o = (oy * ow) + ox in
-                if Bytes.unsafe_get marked o = '\000' then begin
-                  Bytes.unsafe_set marked o '\001';
+                if Bytes.unsafe_get marks o = '\000' then begin
+                  Bytes.unsafe_set marks o '\001';
                   incr count
                 end
               done
@@ -700,74 +879,248 @@ let conv2d_changed_columns ?(stride = 1) ?(pad = 0) ~kh ~kw ~reference x =
       done
     done
   with
-  | exception Exit -> None
+  | exception Exit -> -1
   | () ->
-      let columns = Array.make !count 0 and j = ref 0 in
+      let j = ref 0 in
       for o = 0 to cols - 1 do
-        if Bytes.unsafe_get marked o <> '\000' then begin
-          columns.(!j) <- o;
+        if Bytes.unsafe_get marks o <> '\000' then begin
+          Array.unsafe_set columns !j o;
           incr j
         end
       done;
-      Some columns
+      !count
 
-(* The gather-and-GEMM patch: the listed columns' im2col patches go into
-   a small [kk x a] panel, their outputs into a bias-seeded [out_c x a]
-   block, and [gemm_acc] sums each in ascending-p order — the very
-   operands and order the full conv uses for those positions, so each
-   recomputed element is bit-equal to [conv2d_gemm_batch]'s. *)
-let patch_panel : float array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
+(* Per-plane statistics in ascending flat order, exactly as
+   [channel_norm_batch] computes them: the mean, then 1/sqrt(var + eps).
+   Inlined, so the floats stay unboxed. *)
+let[@inline] plane_mean a r ch =
+  let base = ch * region_plane r in
+  let acc = ref 0. in
+  for y = 0 to r.h - 1 do
+    let o = base + region_at r y in
+    for x = 0 to r.w - 1 do
+      acc := !acc +. Array.unsafe_get a (o + x)
+    done
+  done;
+  !acc /. float_of_int (r.h * r.w)
 
-let patch_block : float array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
+let[@inline] plane_istd a r ch ~mean ~eps =
+  let base = ch * region_plane r in
+  let vacc = ref 0. in
+  for y = 0 to r.h - 1 do
+    let o = base + region_at r y in
+    for x = 0 to r.w - 1 do
+      let d = Array.unsafe_get a (o + x) -. mean in
+      vacc := !vacc +. (d *. d)
+    done
+  done;
+  1. /. sqrt ((!vacc /. float_of_int (r.h * r.w)) +. eps)
 
-let conv2d_patch ?(stride = 1) ?(pad = 0) x ~weight ~bias ~base ~columns =
-  check_one_image "conv2d_patch" x;
-  check_rank "conv2d_patch" weight 4;
-  let in_c = x.shape.(1) and h = x.shape.(2) and w = x.shape.(3) in
-  let out_c = weight.shape.(0)
-  and kh = weight.shape.(2)
-  and kw = weight.shape.(3) in
-  if in_c <> weight.shape.(1) then fail_shape "conv2d_patch" x.shape weight.shape;
-  let oh = conv_out_dim h kh stride pad and ow = conv_out_dim w kw stride pad in
-  if base.shape <> [| 1; out_c; oh; ow |] then
-    fail_shape "conv2d_patch" base.shape [| 1; out_c; oh; ow |];
-  let cols = oh * ow and kk = in_c * kh * kw and a = Array.length columns in
-  let out = copy base in
-  if a > 0 then begin
-    let panel = scratch patch_panel (kk * a) in
-    let block = scratch patch_block (out_c * a) in
-    for jj = 0 to a - 1 do
-      let col = columns.(jj) in
-      if col < 0 || col >= cols then
-        invalid_arg "Tensor.conv2d_patch: column out of range";
-      let iy0 = ((col / ow) * stride) - pad and ix0 = (col mod ow * stride) - pad in
-      for ic = 0 to in_c - 1 do
-        for ky = 0 to kh - 1 do
-          let iy = iy0 + ky in
-          for kx = 0 to kw - 1 do
-            let ix = ix0 + kx in
-            let p = (((ic * kh) + ky) * kw) + kx in
-            panel.((p * a) + jj) <-
-              (if iy >= 0 && iy < h && ix >= 0 && ix < w then
-                 x.data.((((ic * h) + iy) * w) + ix)
-               else 0.)
-          done
-        done
-      done
-    done;
-    for oc = 0 to out_c - 1 do
-      Array.fill block (oc * a) a bias.data.(oc)
-    done;
-    gemm_acc ~m:out_c ~k:kk ~n:a weight.data panel block;
-    for oc = 0 to out_c - 1 do
-      for jj = 0 to a - 1 do
-        out.data.((oc * cols) + columns.(jj)) <- block.((oc * a) + jj)
+let check_same_dims name a s d =
+  check_region name a s;
+  check_region name a d;
+  if s.c <> d.c || s.h <> d.h || s.w <> d.w then
+    invalid_arg ("Tensor." ^ name ^ ": region dims differ")
+
+let check_pool name a ~size ~stride ~src ~dst =
+  check_region name a src;
+  check_region name a dst;
+  if
+    size < 1 || stride < 1 || dst.c <> src.c
+    || dst.h <> conv_out_dim src.h size stride 0
+    || dst.w <> conv_out_dim src.w size stride 0
+  then invalid_arg ("Tensor." ^ name ^ ": region dims differ")
+
+let channel_norm_into a ~gamma ~beta ~eps ~src ~dst =
+  check_same_dims "channel_norm_into" a src dst;
+  let sp = region_plane src and dp = region_plane dst in
+  for ch = 0 to src.c - 1 do
+    let mean = plane_mean a src ch in
+    let istd = plane_istd a src ch ~mean ~eps in
+    let gam = gamma.data.(ch) and bet = beta.data.(ch) in
+    for y = 0 to src.h - 1 do
+      let s = (ch * sp) + region_at src y and d = (ch * dp) + region_at dst y in
+      for x = 0 to src.w - 1 do
+        let xhat = (Array.unsafe_get a (s + x) -. mean) *. istd in
+        Array.unsafe_set a (d + x) ((gam *. xhat) +. bet)
       done
     done
-  end;
-  out
+  done
+
+(* [max_pool2d_batch (relu (channel_norm_batch src))] in one pass after
+   the statistics: every window element is normalized, rectified and
+   compared in the order the three kernels use, so the pooled value is
+   bit-equal; elements no window covers are never normalized. *)
+let norm_relu_max_pool_into a ~gamma ~beta ~eps ~size ~stride ~src ~dst =
+  check_pool "norm_relu_max_pool_into" a ~size ~stride ~src ~dst;
+  let sp = region_plane src and srow = region_row src
+  and dp = region_plane dst in
+  for ch = 0 to src.c - 1 do
+    let mean = plane_mean a src ch in
+    let istd = plane_istd a src ch ~mean ~eps in
+    let gam = gamma.data.(ch) and bet = beta.data.(ch) in
+    for oy = 0 to dst.h - 1 do
+      let d = (ch * dp) + region_at dst oy in
+      for ox = 0 to dst.w - 1 do
+        let base = (ch * sp) + region_at src (oy * stride) + (ox * stride) in
+        let best = ref neg_infinity in
+        for ky = 0 to size - 1 do
+          let rowb = base + (ky * srow) in
+          for kx = 0 to size - 1 do
+            let xhat = (Array.unsafe_get a (rowb + kx) -. mean) *. istd in
+            let v = (gam *. xhat) +. bet in
+            let v = if v > 0. then v else 0. in
+            if v > !best then best := v
+          done
+        done;
+        Array.unsafe_set a (d + ox) !best
+      done
+    done
+  done
+
+let relu_into a ~src ~dst =
+  check_same_dims "relu_into" a src dst;
+  let sp = region_plane src and dp = region_plane dst in
+  for ch = 0 to src.c - 1 do
+    for y = 0 to src.h - 1 do
+      let s = (ch * sp) + region_at src y and d = (ch * dp) + region_at dst y in
+      for x = 0 to src.w - 1 do
+        let v = Array.unsafe_get a (s + x) in
+        Array.unsafe_set a (d + x) (if v > 0. then v else 0.)
+      done
+    done
+  done
+
+(* The window scans of [max_pool2d] and [avg_pool2d]. *)
+let max_pool_into a ~size ~stride ~src ~dst =
+  check_pool "max_pool_into" a ~size ~stride ~src ~dst;
+  let sp = region_plane src and srow = region_row src
+  and dp = region_plane dst in
+  for ch = 0 to src.c - 1 do
+    for oy = 0 to dst.h - 1 do
+      let d = (ch * dp) + region_at dst oy in
+      for ox = 0 to dst.w - 1 do
+        let base = (ch * sp) + region_at src (oy * stride) + (ox * stride) in
+        let best = ref neg_infinity in
+        for ky = 0 to size - 1 do
+          for kx = 0 to size - 1 do
+            let v = Array.unsafe_get a (base + (ky * srow) + kx) in
+            if v > !best then best := v
+          done
+        done;
+        Array.unsafe_set a (d + ox) !best
+      done
+    done
+  done
+
+let avg_pool_into a ~size ~stride ~src ~dst =
+  check_pool "avg_pool_into" a ~size ~stride ~src ~dst;
+  let sp = region_plane src and srow = region_row src
+  and dp = region_plane dst in
+  let inv = 1. /. float_of_int (size * size) in
+  for ch = 0 to src.c - 1 do
+    for oy = 0 to dst.h - 1 do
+      let d = (ch * dp) + region_at dst oy in
+      for ox = 0 to dst.w - 1 do
+        let base = (ch * sp) + region_at src (oy * stride) + (ox * stride) in
+        let acc = ref 0. in
+        for ky = 0 to size - 1 do
+          for kx = 0 to size - 1 do
+            acc := !acc +. Array.unsafe_get a (base + (ky * srow) + kx)
+          done
+        done;
+        Array.unsafe_set a (d + ox) (!acc *. inv)
+      done
+    done
+  done
+
+(* Channel means into the [src.c] consecutive elements from [dst]. *)
+let global_avg_pool_into a ~src ~dst =
+  check_region "global_avg_pool_into" a src;
+  check_span "global_avg_pool_into" a dst src.c;
+  let inv = 1. /. float_of_int (src.h * src.w) and sp = region_plane src in
+  for ch = 0 to src.c - 1 do
+    let acc = ref 0. in
+    for y = 0 to src.h - 1 do
+      let s = (ch * sp) + region_at src y in
+      for x = 0 to src.w - 1 do
+        acc := !acc +. Array.unsafe_get a (s + x)
+      done
+    done;
+    Array.unsafe_set a (dst + ch) (!acc *. inv)
+  done
+
+(* [dst] <- [x] + [y], elementwise over interiors of equal dims. *)
+let add_into a ~x ~y ~dst =
+  check_same_dims "add_into" a x dst;
+  check_same_dims "add_into" a y dst;
+  let xp = region_plane x and yp = region_plane y and dp = region_plane dst in
+  for ch = 0 to dst.c - 1 do
+    for r = 0 to dst.h - 1 do
+      let xs = (ch * xp) + region_at x r
+      and ys = (ch * yp) + region_at y r
+      and d = (ch * dp) + region_at dst r in
+      for i = 0 to dst.w - 1 do
+        Array.unsafe_set a (d + i)
+          (Array.unsafe_get a (xs + i) +. Array.unsafe_get a (ys + i))
+      done
+    done
+  done
+
+(* [src]'s interior into [dst]'s channels [first, first + src.c). *)
+let blit_into a ~src ~dst ~first =
+  check_region "blit_into" a src;
+  check_region "blit_into" a dst;
+  if src.h <> dst.h || src.w <> dst.w || first < 0 || first + src.c > dst.c
+  then invalid_arg "Tensor.blit_into: region dims differ";
+  let sp = region_plane src and dp = region_plane dst in
+  for ch = 0 to src.c - 1 do
+    for y = 0 to src.h - 1 do
+      Array.blit a ((ch * sp) + region_at src y) a
+        (((first + ch) * dp) + region_at dst y)
+        src.w
+    done
+  done
+
+(* Dense layer on [in_dim] consecutive elements from [src] into
+   [out_dim] from [dst]: each output is Σ_p weight[j, p] * x[p] in
+   ascending p, then + bias — the arithmetic of [matvec] + [add]. *)
+let dense_into a ~weight ~bias ~src ~dst =
+  if Array.length weight.shape <> 2 || Array.length bias.data <> weight.shape.(0)
+  then invalid_arg "Tensor.dense_into: weight/bias disagree";
+  let out_dim = weight.shape.(0) and in_dim = weight.shape.(1) in
+  check_span "dense_into" a src in_dim;
+  check_span "dense_into" a dst out_dim;
+  let wd = weight.data in
+  for j = 0 to out_dim - 1 do
+    let acc = ref 0. and off = j * in_dim in
+    for p = 0 to in_dim - 1 do
+      acc :=
+        !acc +. (Array.unsafe_get wd (off + p) *. Array.unsafe_get a (src + p))
+    done;
+    Array.unsafe_set a (dst + j) (!acc +. bias.data.(j))
+  done
+
+(* Softmax of [n] consecutive elements from [src] into [dst]: max,
+   exp-shift, sum, then scale by 1/z. *)
+let softmax_into a ~n ~src ~dst =
+  if n < 1 then invalid_arg "Tensor.softmax_into: empty row";
+  check_span "softmax_into" a src n;
+  check_span "softmax_into" a dst n;
+  let m = ref a.(src) in
+  for j = 1 to n - 1 do
+    if a.(src + j) > !m then m := a.(src + j)
+  done;
+  let z = ref 0. in
+  for j = 0 to n - 1 do
+    let e = exp (a.(src + j) -. !m) in
+    a.(dst + j) <- e;
+    z := !z +. e
+  done;
+  let inv = 1. /. !z in
+  for j = 0 to n - 1 do
+    a.(dst + j) <- inv *. a.(dst + j)
+  done
 
 let conv2d_backward ?(stride = 1) ?(pad = 0) ~x ~weight dout =
   let in_c = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
@@ -946,15 +1299,6 @@ let max_pool2d_batch ?stride ~size x =
   let y, _ = max_pool2d ?stride ~size folded in
   reshape y [| n; c; y.shape.(1); y.shape.(2) |]
 
-let avg_pool2d_batch ?stride ~size x =
-  let n, c, folded = fold_nc "avg_pool2d_batch" x in
-  let y = avg_pool2d ?stride ~size folded in
-  reshape y [| n; c; y.shape.(1); y.shape.(2) |]
-
-let global_avg_pool_batch x =
-  let n, c, folded = fold_nc "global_avg_pool_batch" x in
-  reshape (global_avg_pool folded) [| n; c |]
-
 (* Batched per-channel normalization over an NCHW tensor: each (image,
    channel) plane is standardized by its own mean and variance, then
    scaled/shifted by the per-channel [gamma]/[beta].  The plane of index
@@ -998,33 +1342,6 @@ let softmax t =
   let z = sum exps in
   scale (1. /. z) exps
 
-(* Row-wise softmax over an [n; classes] matrix with the exact operation
-   order of [softmax] (max, exp-shift, sum, scale by 1/z) so each row is
-   bit-equal to the single-vector score computation. *)
-let softmax_rows l =
-  check_rank "softmax_rows" l 2;
-  let n = l.shape.(0) and classes = l.shape.(1) in
-  let out = zeros [| n; classes |] in
-  let ld = l.data and od = out.data in
-  for img = 0 to n - 1 do
-    let off = img * classes in
-    let m = ref ld.(off) in
-    for j = 1 to classes - 1 do
-      if ld.(off + j) > !m then m := ld.(off + j)
-    done;
-    let z = ref 0. in
-    for j = 0 to classes - 1 do
-      let e = exp (ld.(off + j) -. !m) in
-      od.(off + j) <- e;
-      z := !z +. e
-    done;
-    let inv = 1. /. !z in
-    for j = 0 to classes - 1 do
-      od.(off + j) <- inv *. od.(off + j)
-    done
-  done;
-  out
-
 let log_softmax t =
   check_rank "log_softmax" t 1;
   let m = max_val t in
@@ -1065,35 +1382,6 @@ let concat_channels ts =
           Array.blit t.data 0 out.data !off (numel t);
           off := !off + numel t)
         ts;
-      out
-
-let concat_channels_batch ts =
-  match ts with
-  | [] -> invalid_arg "Tensor.concat_channels_batch: empty list"
-  | first :: _ ->
-      List.iter (fun t -> check_rank "concat_channels_batch" t 4) ts;
-      let n = first.shape.(0)
-      and h = first.shape.(2)
-      and w = first.shape.(3) in
-      List.iter
-        (fun t ->
-          if t.shape.(0) <> n || t.shape.(2) <> h || t.shape.(3) <> w then
-            fail_shape "concat_channels_batch" first.shape t.shape)
-        ts;
-      let total_c = List.fold_left (fun acc t -> acc + t.shape.(1)) 0 ts in
-      let plane = h * w in
-      let out = zeros [| n; total_c; h; w |] in
-      for img = 0 to n - 1 do
-        let base = img * total_c * plane in
-        let off = ref 0 in
-        List.iter
-          (fun t ->
-            let c = t.shape.(1) in
-            Array.blit t.data (img * c * plane) out.data (base + !off)
-              (c * plane);
-            off := !off + (c * plane))
-          ts
-      done;
       out
 
 let split_channels t counts =

@@ -128,13 +128,6 @@ val matmul_nt : t -> t -> t
     Row [i] of the result is bit-equal to [matvec b a_i] — used by the
     batched dense layer so batching cannot perturb single-image scores. *)
 
-val dense_batch : t -> weight:t -> bias:t -> t
-(** [dense_batch x ~weight ~bias] for [x : (n, in_dim)],
-    [weight : (out_dim, in_dim)] and [bias : (out_dim)] is the batched
-    dense layer [x weightᵀ + bias : (n, out_dim)].  Row [i] is bit-equal
-    to [add (matvec weight x_i) bias]; the single definition is shared by
-    every pluggable tensor backend. *)
-
 val matvec : t -> t -> t
 (** [matvec a x] for [a : (m, k)] and [x : (k)] is [(m)]. *)
 
@@ -183,34 +176,142 @@ val conv2d_gemm_batch :
     every batch width.  Ablated against the direct loop (on a 1-image
     batch) in the micro benchmark. *)
 
-(** {2 Incremental convolution}
+(** {2 Arena kernels}
 
-    A query that changes a few pixels of a reference image changes only
-    the conv outputs whose receptive field holds one of them.  Both
-    kernels take one-image NCHW batches ([|1; c; h; w|]). *)
+    The compiled inference plan keeps every activation of one image at a
+    fixed slice of one flat [float array] (its arena).  A {!region} names
+    such a slice: a CHW activation whose channel planes are each framed
+    by a zero border of [border] elements.  Kernels write only the
+    interior of their destination, so a border stays zero once laid
+    down, and a convolution whose source border is at least its [pad]
+    reads its padding straight from memory: no im2col panel.  Every
+    kernel validates its regions against the arena once per call. *)
+
+type region = { off : int; c : int; h : int; w : int; border : int }
+
+val region_size : region -> int
+(** Floats the region spans, borders included. *)
+
+val region_index : region -> int -> int -> int
+(** [region_index r ch y]: the arena index of interior element
+    [(ch, y, 0)]; a row's [w] elements follow it. *)
 
 val identical : t -> t -> bool
-(** Same shape, and every element pair equal with equal zero signs.  A
-    NaN is never identical to anything (conservative: callers fall back
-    to recomputing). *)
+(** Same shape and the same 64 bits in every element: a signed zero
+    differs from its opposite, and a NaN equals only a NaN with the
+    same payload.  The bitwise comparison the tests use. *)
+
+val conv2d_taps : src:region -> kh:int -> kw:int -> int array
+(** Offset of each tap [p = (ic, ky, kx)], ascending, from a window's
+    top-left element in [src]. *)
+
+val conv2d_into :
+  float array ->
+  taps:int array ->
+  stride:int ->
+  pad:int ->
+  weight:t ->
+  bias:t ->
+  src:region ->
+  dst:region ->
+  unit
+(** Implicit-GEMM convolution of [src] (border [>= pad]) into [dst]'s
+    interior: a bias-seeded 2x4 register tile summing taps in ascending
+    [p] over the bordered source, padding zeros included — the operands
+    and the order {!conv2d_gemm_batch} uses, so the result is bit-equal
+    to it. *)
 
 val conv2d_changed_columns :
-  ?stride:int -> ?pad:int -> kh:int -> kw:int -> reference:t -> t -> int array option
-(** Output positions ([oy * ow + ox], ascending) whose [kh x kw]
-    receptive field holds an element of [x] not {!identical} to the
-    same element of [reference].  [None] as soon as more than half of
-    the [oh * ow] positions are marked (the scan stops early). *)
+  stride:int ->
+  pad:int ->
+  kh:int ->
+  kw:int ->
+  c:int ->
+  h:int ->
+  w:int ->
+  marks:Bytes.t ->
+  columns:int array ->
+  float array ->
+  xoff:int ->
+  float array ->
+  roff:int ->
+  int
+(** Scan a CHW image at [xoff] against a reference at [roff]: writes the
+    output positions ([oy * ow + ox], ascending) whose receptive field
+    holds an element not equal with an equal zero sign to the
+    reference's (a NaN always counts as changed) into [columns] and
+    returns their count, or [-1] as soon as more than half of the
+    [oh * ow] positions are marked.  [marks] and [columns] are scratch of
+    at least [oh * ow]. *)
 
-val conv2d_patch :
-  ?stride:int -> ?pad:int -> t -> weight:t -> bias:t -> base:t -> columns:int array -> t
-(** [conv2d_patch x ~weight ~bias ~base ~columns]: a copy of [base]
-    (the [conv2d_gemm_batch ~bias:(Some bias)] output of some reference
-    image) with the listed output positions recomputed from [x] in every
-    output channel.  Their im2col patches are gathered into a small
-    panel and summed by the same bias-seeded, ascending-tap GEMM the
-    full conv runs, so whenever [columns] covers every position
-    {!conv2d_changed_columns} marks, the result is bit-equal to
-    [conv2d_gemm_batch x]. *)
+val conv2d_patch_into :
+  float array ->
+  taps:int array ->
+  stride:int ->
+  pad:int ->
+  weight:t ->
+  bias:t ->
+  src:region ->
+  dst:region ->
+  columns:int array ->
+  count:int ->
+  unit
+(** {!conv2d_into} for the output positions [columns.(0 .. count-1)]
+    only, every output channel: the same sum per element, so patching a
+    reference output at every position {!conv2d_changed_columns} marks
+    gives the full conv bit for bit. *)
+
+val channel_norm_into :
+  float array ->
+  gamma:t ->
+  beta:t ->
+  eps:float ->
+  src:region ->
+  dst:region ->
+  unit
+(** {!channel_norm_batch} of one image. *)
+
+val norm_relu_max_pool_into :
+  float array ->
+  gamma:t ->
+  beta:t ->
+  eps:float ->
+  size:int ->
+  stride:int ->
+  src:region ->
+  dst:region ->
+  unit
+(** [max_pool2d_batch (relu (channel_norm_batch src))] of one image,
+    bit-equal: two statistics passes per plane, then one
+    normalize-rectify-pool pass.  No switch array. *)
+
+val relu_into : float array -> src:region -> dst:region -> unit
+(** One-image {!relu}. *)
+
+val max_pool_into :
+  float array -> size:int -> stride:int -> src:region -> dst:region -> unit
+(** One-image {!max_pool2d}, without switches. *)
+
+val avg_pool_into :
+  float array -> size:int -> stride:int -> src:region -> dst:region -> unit
+(** One-image {!avg_pool2d}. *)
+
+val global_avg_pool_into : float array -> src:region -> dst:int -> unit
+(** {!global_avg_pool} into the [src.c] floats from [dst]. *)
+
+val add_into : float array -> x:region -> y:region -> dst:region -> unit
+(** [dst <- x + y] elementwise, as {!add}. *)
+
+val blit_into : float array -> src:region -> dst:region -> first:int -> unit
+(** Copy [src] into channels [first ..] of [dst]: channel concatenation. *)
+
+val dense_into : float array -> weight:t -> bias:t -> src:int -> dst:int -> unit
+(** The dense layer on the floats from [src] into those from [dst]:
+    bit-equal to [add (matvec weight x) bias]. *)
+
+val softmax_into : float array -> n:int -> src:int -> dst:int -> unit
+(** Softmax of [n] floats, in {!softmax}'s operation order (max,
+    exp-shift, sum, scale by [1/z]). *)
 
 val conv2d_backward :
   ?stride:int ->
@@ -242,12 +343,6 @@ val max_pool2d_batch : ?stride:int -> size:int -> t -> t
     channel plane, so the batch folds to [(n*c); h; w], runs the
     single-image kernel and unfolds. *)
 
-val avg_pool2d_batch : ?stride:int -> size:int -> t -> t
-(** Batched (NCHW) {!avg_pool2d}. *)
-
-val global_avg_pool_batch : t -> t
-(** Batched (NCHW) {!global_avg_pool}, producing [|n; c|]. *)
-
 val channel_norm_batch : gamma:t -> beta:t -> eps:float -> t -> t
 (** Per-plane standardization of an NCHW tensor: each (image, channel)
     plane is normalized by its own mean and [1/sqrt(var + eps)], then
@@ -258,10 +353,6 @@ val channel_norm_batch : gamma:t -> beta:t -> eps:float -> t -> t
 
 val softmax : t -> t
 (** Numerically stable softmax over a rank-1 tensor. *)
-
-val softmax_rows : t -> t
-(** Row-wise {!softmax} over an [(n, classes)] matrix; each row is
-    bit-equal to [softmax row]. *)
 
 val log_softmax : t -> t
 
@@ -277,10 +368,6 @@ val cross_entropy_grad : t -> int -> t
 
 val concat_channels : t list -> t
 (** Concatenate CHW tensors with equal H and W along the channel axis. *)
-
-val concat_channels_batch : t list -> t
-(** Batched {!concat_channels}: NCHW tensors with equal N, H and W are
-    concatenated along the channel axis, image by image. *)
 
 val split_channels : t -> int list -> t list
 (** Inverse of {!concat_channels} given the channel counts. *)

@@ -1,4 +1,4 @@
-(* Property and golden tests for the pluggable tensor backends.
+(* Property and golden tests for the two inference engines.
 
    The f32 kernels are checked three ways: the blocked GEMM against a
    naive float64 reference on the same float32-rounded operands (the
@@ -7,18 +7,21 @@
    patch layout computed by direct indexing (padding positions must
    read back as explicit zeros); and the fused conv→norm→relu epilogue
    against the unfused composition, which must be bit-identical — the
-   fusion saves passes, never rounding.  The shape-descriptor
-   round-trip and the serialize golden run over both backends: weights
-   written by one network load into another and must produce the same
-   argmax through Network.classify, the boxed plan and the f32 plan,
-   and the boxed plan must match the training forward bit for bit.
+   fusion saves passes, never rounding.  The serialize golden loads one
+   weight file into another network and checks the same argmax through
+   Network.classify, the boxed plan and the f32 plan, and the boxed plan
+   against the training forward bit for bit.
 
-   The incremental first layer is pinned here too: the boxed patch
-   kernel equals the full conv bitwise for every diff shape, a stream of
-   one-pixel queries through a network oracle equals the training
-   forward on every zoo net, the per-domain reference survives weight
-   updates, caller mutation and interleaved domains, and a real attack
-   actually takes the patched path. *)
+   The boxed arena plan is pinned bitwise ([Tensor.identical]): the
+   implicit-GEMM conv against [conv2d_gemm_batch] and the fused
+   norm→relu→max-pool against the three unfused kernels, both on
+   regions placed in an arena padded with junk and including -0.0 and
+   NaN; the first-layer scan and patch against the full conv for every
+   diff shape; every zoo net's plan at batch 1 and 3 and over one-pixel
+   oracle streams against the training forward; arena rebuilds across
+   interleaved plans and shapes; the per-domain reference across weight
+   updates, caller mutation and four domains; a real attack taking the
+   patched path; and steady-state forwards allocating no major words. *)
 
 (* Round to the nearest float32, as [of_tensor] does on the f32 path. *)
 let round32 x = Int32.float_of_bits (Int32.bits_of_float x)
@@ -132,7 +135,6 @@ let roundtrip_case (type b) name
       (Tensor.get_flat back i)
   done
 
-let boxed_roundtrip = roundtrip_case "boxed" (module Tensor_boxed) ~rounds:Fun.id
 let f32_roundtrip = roundtrip_case "f32" (module Tensor_f32) ~rounds:round32
 
 let qcheck_f32_reshape_preserves_flat =
@@ -198,7 +200,6 @@ let qcheck_fusion name case =
       case (seed, batch, in_c, out_c, size))
 
 let qcheck_fusion_f32 = qcheck_fusion "f32" (fusion_case (module Tensor_f32))
-let qcheck_fusion_boxed = qcheck_fusion "boxed" (fusion_case (module Tensor_boxed))
 
 (* {1 Serialize golden: one weight file, every engine} *)
 
@@ -273,7 +274,7 @@ let serialize_cross_backend () =
    the independent reference it must match bit for bit — every row of a
    multi-image batch, on every architecture family the zoo builds. *)
 let boxed_plan_matches_training_forward () =
-  let n = 3 and size = 8 in
+  let size = 8 in
   List.iter
     (fun arch ->
       let build = Option.get (Nn.Zoo.by_name arch) in
@@ -281,38 +282,169 @@ let boxed_plan_matches_training_forward () =
       let plan =
         Nn.Backend.Boxed_engine.compile ~name:arch net.Nn.Network.stack
       in
-      let batch = Tensor.rand_uniform (Prng.of_int 78) [| n; 3; size; size |] in
-      let out = Nn.Backend.Boxed_engine.scores_batch plan batch in
-      let image = 3 * size * size in
-      for i = 0 to n - 1 do
-        let x =
-          Tensor.init [| 3; size; size |] (fun o ->
-              Tensor.get_flat batch ((i * image) + o))
-        in
-        let reference =
-          Tensor.softmax (Nn.Layer.forward ~train:false net.Nn.Network.stack x)
-        in
-        Alcotest.(check (array (float 0.)))
-          (Printf.sprintf "%s image %d: plan scores = training forward" arch i)
-          reference.Tensor.data
-          (Array.sub out.Tensor.data (i * 5) 5);
-        Alcotest.(check (array (float 0.)))
-          (Printf.sprintf "%s image %d: Network.scores = training forward" arch
-             i)
-          reference.Tensor.data (Nn.Network.scores net x).Tensor.data
-      done)
+      List.iter
+        (fun n ->
+          let batch =
+            Tensor.rand_uniform (Prng.of_int (78 + n)) [| n; 3; size; size |]
+          in
+          let out = Nn.Backend.Boxed_engine.scores_batch plan batch in
+          let image = 3 * size * size in
+          for i = 0 to n - 1 do
+            let x =
+              Tensor.init [| 3; size; size |] (fun o ->
+                  Tensor.get_flat batch ((i * image) + o))
+            in
+            let reference =
+              Tensor.softmax
+                (Nn.Layer.forward ~train:false net.Nn.Network.stack x)
+            in
+            let row = Tensor.of_array [| 5 |] (Array.sub out.Tensor.data (i * 5) 5) in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s batch %d image %d: plan scores = training forward"
+                 arch n i)
+              true (Tensor.identical reference row);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s image %d: Network.scores = training forward" arch
+                 i)
+              true
+              (Tensor.identical reference (Nn.Network.scores net x))
+          done)
+        [ 1; 3 ])
     Nn.Zoo.names
 
-(* {1 Incremental first layer} *)
-
-let bits_equal a b =
-  Tensor.shape a = Tensor.shape b
-  && Array.for_all2
-       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
-       a.Tensor.data b.Tensor.data
+(* {1 Arena kernels} *)
 
 let full_conv ~stride ~pad ~weight ~bias x =
   Tensor.conv2d_gemm_batch ~stride ~pad x ~weight ~bias:(Some bias)
+
+(* A one-image NCHW tensor laid into a fresh arena as a region at [off]
+   with a zero border, the rest of the arena filled with [junk] so a
+   kernel that reads outside its regions shows up in the result. *)
+let junk = 1e300
+
+let embed ?(off = 5) ~border x =
+  let s = Tensor.shape x in
+  let r = { Tensor.off; c = s.(1); h = s.(2); w = s.(3); border } in
+  let a = Array.make (off + Tensor.region_size r + 7) junk in
+  let row = r.w + (2 * border) and plane = (r.h + (2 * border)) * (r.w + (2 * border)) in
+  Array.fill a off (Tensor.region_size r) 0.;
+  for ch = 0 to r.c - 1 do
+    for y = 0 to r.h - 1 do
+      for x' = 0 to r.w - 1 do
+        a.(off + (ch * plane) + ((y + border) * row) + x' + border) <-
+          Tensor.get_flat x ((((ch * r.h) + y) * r.w) + x')
+      done
+    done
+  done;
+  (a, r)
+
+(* A destination region after the source in a grown arena. *)
+let with_dst a (src : Tensor.region) ~c ~h ~w ~border =
+  let off = src.off + Tensor.region_size src + 3 in
+  let r = { Tensor.off; c; h; w; border } in
+  let a' = Array.make (off + Tensor.region_size r + 7) junk in
+  Array.blit a 0 a' 0 (Array.length a);
+  Array.fill a' off (Tensor.region_size r) 0.;
+  (a', r)
+
+let extract a (r : Tensor.region) =
+  let row = r.w + (2 * r.border) in
+  let plane = (r.h + (2 * r.border)) * row in
+  Tensor.init [| 1; r.c; r.h; r.w |] (fun i ->
+      let ch = i / (r.h * r.w) and y = i / r.w mod r.h and x = i mod r.w in
+      a.(r.off + (ch * plane) + ((y + r.border) * row) + x + r.border))
+
+(* Borders must still read as zeros after a kernel ran. *)
+let border_clean a (r : Tensor.region) =
+  let row = r.w + (2 * r.border) in
+  let plane = (r.h + (2 * r.border)) * row in
+  let ok = ref true in
+  for ch = 0 to r.c - 1 do
+    for y = 0 to r.h + (2 * r.border) - 1 do
+      for x = 0 to row - 1 do
+        let inside =
+          y >= r.border && y < r.h + r.border && x >= r.border && x < r.w + r.border
+        in
+        if (not inside) && a.(r.off + (ch * plane) + (y * row) + x) <> 0. then
+          ok := false
+      done
+    done
+  done;
+  !ok
+
+(* Random values with signed zeros and NaNs mixed in. *)
+let spiky g shape =
+  Tensor.init shape (fun _ ->
+      match Prng.int g 12 with
+      | 0 -> 0.
+      | 1 -> -0.
+      | 2 -> Float.nan
+      | _ -> Prng.float_in g (-1.) 1.)
+
+let conv_case g ~k ~stride ~pad ~extra ~nasty =
+  let in_c = 1 + Prng.int g 3 and out_c = 1 + Prng.int g 9 in
+  let lo = max 1 (k - (2 * pad)) in
+  let h = lo + Prng.int g (13 - lo) and w = lo + Prng.int g (13 - lo) in
+  let weight = Tensor.randn g ~sigma:0.5 [| out_c; in_c; k; k |] in
+  let bias = Tensor.randn g ~sigma:0.1 [| out_c |] in
+  let x =
+    if nasty then spiky g [| 1; in_c; h; w |]
+    else Tensor.rand_uniform g [| 1; in_c; h; w |]
+  in
+  let a, src = embed ~border:(pad + extra) x in
+  let oh = ((h + (2 * pad) - k) / stride) + 1
+  and ow = ((w + (2 * pad) - k) / stride) + 1 in
+  let a, dst = with_dst a src ~c:out_c ~h:oh ~w:ow ~border:(Prng.int g 2) in
+  let taps = Tensor.conv2d_taps ~src ~kh:k ~kw:k in
+  (x, weight, bias, a, src, dst, taps)
+
+let qcheck_implicit_conv =
+  QCheck.Test.make ~name:"implicit-GEMM conv2d_into = conv2d_gemm_batch, bitwise"
+    ~count:400
+    QCheck.(
+      quad (int_range 0 99999) (int_range 0 2)
+        (pair (int_range 1 2) (int_range 0 2))
+        (pair (int_range 0 2) bool))
+    (fun (seed, ki, (stride, pad), (extra, nasty)) ->
+      let k = [| 1; 3; 5 |].(ki) in
+      let g = Prng.of_int seed in
+      let x, weight, bias, a, src, dst, taps =
+        conv_case g ~k ~stride ~pad ~extra ~nasty
+      in
+      Tensor.conv2d_into a ~taps ~stride ~pad ~weight ~bias ~src ~dst;
+      Tensor.identical (extract a dst) (full_conv ~stride ~pad ~weight ~bias x)
+      && border_clean a src && border_clean a dst)
+
+let qcheck_fused_epilogue =
+  QCheck.Test.make
+    ~name:"norm_relu_max_pool_into = max_pool2d_batch (relu (channel_norm_batch))"
+    ~count:300
+    QCheck.(
+      quad (int_range 0 99999)
+        (pair (int_range 1 4) (pair (int_range 1 9) (int_range 1 9)))
+        (pair (int_range 1 3) (int_range 1 3))
+        (pair (int_range 0 2) bool))
+    (fun (seed, (c, (h, w)), (size, stride), (border, nasty)) ->
+      QCheck.assume (size <= h && size <= w);
+      let g = Prng.of_int seed in
+      let x =
+        if nasty then spiky g [| 1; c; h; w |]
+        else Tensor.rand_uniform g ~lo:(-1.) ~hi:1. [| 1; c; h; w |]
+      in
+      let gamma = Tensor.rand_uniform g ~lo:(-1.5) ~hi:1.5 [| c |] in
+      let beta =
+        Tensor.init [| c |] (fun i -> if i = 0 then -0. else Prng.float_in g (-0.5) 0.5)
+      in
+      let eps = 1e-5 in
+      let a, src = embed ~border x in
+      let oh = ((h - size) / stride) + 1 and ow = ((w - size) / stride) + 1 in
+      let a, dst = with_dst a src ~c ~h:oh ~w:ow ~border:(Prng.int g 3) in
+      Tensor.norm_relu_max_pool_into a ~gamma ~beta ~eps ~size ~stride ~src ~dst;
+      let expect =
+        Tensor.max_pool2d_batch ~stride ~size
+          (Tensor.relu (Tensor.channel_norm_batch ~gamma ~beta ~eps x))
+      in
+      Tensor.identical (extract a dst) expect && border_clean a dst)
 
 (* Output positions whose window holds a changed element, by direct
    indexing: the independent count the scan is checked against. *)
@@ -379,6 +511,32 @@ let perturb_case g ~mode x =
       Tensor.set x1 idx (if Prng.bool g then -0. else Float.nan));
   (x0, x1)
 
+(* Scan [x1] against [x0] and, when it stays under half, patch the
+   reference output [conv x0] at the marked positions from [x1] laid
+   out in an arena: returns the scan's columns and the patched map. *)
+let scan_and_patch ~stride ~pad ~weight ~bias x0 x1 =
+  let ws = Tensor.shape weight and s = Tensor.shape x1 in
+  let k = ws.(2) in
+  let y0 = full_conv ~stride ~pad ~weight ~bias x0 in
+  let ys = Tensor.shape y0 in
+  let cols = ys.(2) * ys.(3) in
+  let marks = Bytes.make cols '\001' and columns = Array.make cols (-1) in
+  let count =
+    Tensor.conv2d_changed_columns ~stride ~pad ~kh:k ~kw:k ~c:s.(1) ~h:s.(2)
+      ~w:s.(3) ~marks ~columns x1.Tensor.data ~xoff:0 x0.Tensor.data ~roff:0
+  in
+  if count < 0 then (None, None)
+  else begin
+    let a, src = embed ~border:pad x1 in
+    let a, dst = with_dst a src ~c:ys.(1) ~h:ys.(2) ~w:ys.(3) ~border:1 in
+    let a', _ = embed ~off:dst.off ~border:1 y0 in
+    Array.blit a' dst.off a dst.off (Tensor.region_size dst);
+    Tensor.conv2d_patch_into a
+      ~taps:(Tensor.conv2d_taps ~src ~kh:k ~kw:k)
+      ~stride ~pad ~weight ~bias ~src ~dst ~columns ~count;
+    (Some (Array.sub columns 0 count), Some (extract a dst))
+  end
+
 let qcheck_patch_matches_full_conv =
   QCheck.Test.make ~name:"boxed conv2d_patch = conv2d_gemm_batch, bitwise"
     ~count:300
@@ -396,25 +554,15 @@ let qcheck_patch_matches_full_conv =
       let x0, x1 =
         perturb_case g ~mode (Tensor.rand_uniform g [| 1; in_c; h; w |])
       in
-      let y0 = full_conv ~stride ~pad ~weight ~bias x0 in
       let expect, cols = naive_changed ~stride ~pad ~kh:k ~kw:k ~reference:x0 x1 in
-      let scanned =
-        Tensor.conv2d_changed_columns ~stride ~pad ~kh:k ~kw:k ~reference:x0 x1
-      in
-      let patched =
-        Tensor_boxed.conv2d_patch ~stride ~pad ~weight ~bias
-          ~reference:(Some (x0, y0)) x1
-      in
-      Tensor_boxed.conv2d_patch ~stride ~pad ~weight ~bias ~reference:None x1
-      = None
-      &&
+      let scanned, patched = scan_and_patch ~stride ~pad ~weight ~bias x0 x1 in
       if 2 * Array.length expect <= cols then
         scanned = Some expect
         &&
         match patched with
-        | Some y -> bits_equal y (full_conv ~stride ~pad ~weight ~bias x1)
+        | Some y -> Tensor.identical y (full_conv ~stride ~pad ~weight ~bias x1)
         | None -> false
-      else scanned = None && patched = None)
+      else scanned = None)
 
 (* A signed zero must reach the output: with bias -0.0 and a 1x1
    identity kernel, an input of -0.0 yields -0.0 where +0.0 yields
@@ -425,16 +573,13 @@ let patch_sees_signed_zero () =
   let y0 = full_conv ~stride:1 ~pad:0 ~weight ~bias x0 in
   let x1 = Tensor.copy x0 in
   Tensor.set x1 [| 0; 0; 2; 1 |] (-0.);
-  match
-    Tensor_boxed.conv2d_patch ~stride:1 ~pad:0 ~weight ~bias
-      ~reference:(Some (x0, y0)) x1
-  with
-  | None -> Alcotest.fail "a one-element change must patch"
-  | Some y ->
+  match scan_and_patch ~stride:1 ~pad:0 ~weight ~bias x0 x1 with
+  | _, None -> Alcotest.fail "a one-element change must patch"
+  | _, Some y ->
       Alcotest.(check bool) "patched output keeps the -0.0" true
-        (bits_equal y (full_conv ~stride:1 ~pad:0 ~weight ~bias x1));
+        (Tensor.identical y (full_conv ~stride:1 ~pad:0 ~weight ~bias x1));
       Alcotest.(check bool) "and differs from the reference there" false
-        (bits_equal y y0)
+        (Tensor.identical y y0)
 
 let zoo_net ?(classes = 5) arch seed =
   (Option.get (Nn.Zoo.by_name arch)) (Prng.of_int seed) ~image_size:8
@@ -446,7 +591,7 @@ let training_scores net x =
 let patch_counter name = Telemetry.Metrics.counter ("backend.boxed." ^ name)
 
 let check_scores what expected got =
-  Alcotest.(check bool) what true (bits_equal expected got)
+  Alcotest.(check bool) what true (Tensor.identical expected got)
 
 (* Attack-shaped streams: a clean read, then queries that each change one
    pixel of it to a corner value, with an occasional clean re-read and a
@@ -608,11 +753,83 @@ let sketch_attack_patches () =
     (patched + fallbacks);
   Alcotest.(check int) "only the clean read runs the full conv" 1 fallbacks
 
+(* Two plans and two input shapes interleaved on one domain: every call
+   lands on an arena laid out for another plan or another shape, so the
+   arena is rebuilt again and again (and the first-layer reference
+   dropped with it), and every answer must still be the training
+   forward.  The second plan ends in a global average pool, so the same
+   plan runs at 8x8 and at 12x12. *)
+let arena_rebuilds_interleaved () =
+  let g = Prng.of_int 101 in
+  let vgg = (zoo_net "vgg_tiny" 102).Nn.Network.stack in
+  let pooled =
+    Nn.Layer.sequential
+      [
+        Nn.Layer.conv2d g ~pad:1 ~in_c:3 ~out_c:6 ~k:3 ();
+        Nn.Layer.channel_norm ~channels:6;
+        Nn.Layer.relu ();
+        Nn.Layer.max_pool ~size:2 ();
+        Nn.Layer.conv2d g ~pad:2 ~in_c:6 ~out_c:5 ~k:5 ();
+        Nn.Layer.global_avg_pool ();
+        Nn.Layer.dense g ~in_dim:5 ~out_dim:5 ();
+      ]
+  in
+  let compile = Nn.Backend.Boxed_engine.compile ~name:"interleave" in
+  let vgg_plan = compile vgg and pooled_plan = compile pooled in
+  let runs =
+    [| (vgg, vgg_plan, 8); (pooled, pooled_plan, 8); (pooled, pooled_plan, 12) |]
+  in
+  let streams =
+    Array.map (fun (_, _, size) -> one_pixel_stream ~size ~seed:(104 + size) 12) runs
+  in
+  for j = 0 to 35 do
+    let which = j mod 3 in
+    let stack, plan, size = runs.(which) in
+    let x = streams.(which).(j / 3) in
+    check_scores
+      (Printf.sprintf "call %d (run %d): = training forward" j which)
+      (Tensor.reshape
+         (Tensor.softmax (Nn.Layer.forward ~train:false stack x))
+         [| 1; 5 |])
+      (Nn.Backend.Boxed_engine.scores_batch plan
+         (Tensor.reshape x [| 1; 3; size; size |]))
+  done
+
+(* The arena plan allocates nothing per forward: after warm-up, 100
+   one-pixel vgg_tiny queries through the network oracle add no major
+   words beyond the score vectors they return (a few dozen words each,
+   promoted only if a minor collection finds them alive).  A forward
+   that allocated its activations would cost ~10k major words at this
+   size. *)
+let forwards_allocate_no_major_words () =
+  let size = 16 in
+  let net = Nn.Zoo.vgg_tiny (Prng.of_int 105) ~image_size:size ~num_classes:10 in
+  let oracle = Oracle.of_network net in
+  let xs = one_pixel_stream ~size ~seed:106 120 in
+  for i = 0 to 19 do
+    ignore (Oracle.eval_batch oracle [| xs.(i) |])
+  done;
+  let kept = Array.make 100 xs.(0) in
+  let _, _, major0 = Gc.counters () in
+  for i = 0 to 99 do
+    kept.(i) <- (Oracle.eval_batch oracle [| xs.(20 + i) |]).(0)
+  done;
+  let _, _, major1 = Gc.counters () in
+  let words = int_of_float (major1 -. major0) in
+  if words > 100 * 64 then
+    Alcotest.failf "100 forwards allocated %d major words (bound %d)" words
+      (100 * 64);
+  Array.iteri
+    (fun i s ->
+      check_scores
+        (Printf.sprintf "query %d: = training forward" i)
+        (training_scores net xs.(20 + i)) s)
+    kept
+
 let suite =
   [
     Alcotest.test_case "boxed plan = training forward on every zoo net" `Quick
       boxed_plan_matches_training_forward;
-    Alcotest.test_case "boxed descriptor round-trip" `Quick boxed_roundtrip;
     Alcotest.test_case "f32 descriptor round-trip" `Quick f32_roundtrip;
     Alcotest.test_case "serialize cross-backend golden" `Quick
       serialize_cross_backend;
@@ -620,7 +837,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_im2col_layout;
     QCheck_alcotest.to_alcotest qcheck_f32_reshape_preserves_flat;
     QCheck_alcotest.to_alcotest qcheck_fusion_f32;
-    QCheck_alcotest.to_alcotest qcheck_fusion_boxed;
+    QCheck_alcotest.to_alcotest qcheck_implicit_conv;
+    QCheck_alcotest.to_alcotest qcheck_fused_epilogue;
     QCheck_alcotest.to_alcotest qcheck_patch_matches_full_conv;
     Alcotest.test_case "patch keeps a signed zero" `Quick patch_sees_signed_zero;
     Alcotest.test_case "one-pixel oracle stream = training forward, every zoo net"
@@ -631,4 +849,8 @@ let suite =
       domains_interleave_images;
     Alcotest.test_case "vgg_tiny sketch attack takes the patched path" `Quick
       sketch_attack_patches;
+    Alcotest.test_case "two plans, two shapes: arena rebuilds = training forward"
+      `Quick arena_rebuilds_interleaved;
+    Alcotest.test_case "100 one-pixel forwards allocate no major words" `Quick
+      forwards_allocate_no_major_words;
   ]
